@@ -87,7 +87,7 @@ pub struct SpeedupReport {
 
 /// Throughput and determinism probe of the multi-tenant serving layer
 /// (`lbs-server`): a fixed bundle of small estimation jobs run through the
-/// round-robin scheduler, once in submission order and once shuffled, with
+/// scheduler, once in submission order and once shuffled, with
 /// the per-job estimates compared bitwise.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct SessionBenchReport {
@@ -100,7 +100,7 @@ pub struct SessionBenchReport {
     /// Mean milliseconds from submission to the first anytime estimate
     /// (first snapshot with at least one completed sample).
     pub mean_time_to_first_estimate_ms: f64,
-    /// Scheduler ticks (waves) the in-order run served.
+    /// Scheduler ticks (chunk rounds) the in-order run served.
     pub ticks: u64,
     /// `true` when the shuffled-submission run reproduced every estimate
     /// bit for bit (the scheduler's determinism contract).
@@ -725,7 +725,7 @@ pub fn run_stratified_probe(scale: Scale, seed: u64, threads: usize) -> Stratifi
             cfg,
         );
         while !session.is_finished() {
-            session.step();
+            session.run_wave();
         }
         session
             .finalize()
@@ -743,7 +743,7 @@ pub fn run_stratified_probe(scale: Scale, seed: u64, threads: usize) -> Stratifi
             cfg,
         );
         while !session.is_finished() {
-            session.step();
+            session.run_wave();
         }
         session
             .finalize()

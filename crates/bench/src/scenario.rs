@@ -1221,7 +1221,7 @@ fn run_declarative(scenario: &Scenario, ctx: &ScenarioContext) -> Result<Experim
         let cfg = workload.session_config(ctx.threads, rep);
         let mut session = workload.start_session(backend, cfg)?;
         while !session.is_finished() {
-            session.step();
+            session.run_wave();
         }
         let snapshot = session.snapshot();
         let estimate = friendly_estimate(&workload, session.finalize())?;

@@ -107,7 +107,7 @@ impl NnoBaseline {
         let cfg = SessionConfig::new(query_budget, root_seed).with_threads(driver.threads());
         let mut session = NnoSession::new(service, region, aggregate, self.config.clone(), cfg);
         while !session.is_finished() {
-            session.step();
+            session.run_wave();
         }
         session.finalize()
     }

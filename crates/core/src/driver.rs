@@ -14,9 +14,9 @@
 //! * samples are grouped into fixed-size chunks of [`CHUNK_SAMPLES`]
 //!   (independent of the thread count); each chunk accumulates its own
 //!   [`RunningStats`] by pushing its samples in index order;
-//! * after a wave completes, chunk accumulators are merged through the
-//!   parallel-Welford [`RunningStats::merge`] **in chunk-index order**, so
-//!   the floating-point reduction tree is the same for 1 thread and for 64;
+//! * chunk accumulators are merged through the parallel-Welford
+//!   [`RunningStats::merge`] **in chunk-index order**, so the
+//!   floating-point reduction tree is the same for 1 thread and for 64;
 //! * the soft query budget is enforced at deterministic wave boundaries:
 //!   wave sizes are computed only from the budget and the per-sample costs
 //!   observed so far, never from timing or thread count.
@@ -26,6 +26,16 @@
 //! forks a private copy of the master state, and the driver hands the forks
 //! back for absorption in chunk order at every wave boundary — again a
 //! deterministic merge.
+//!
+//! A run advances in one of two [`Quantum`]s. The batch quantum
+//! ([`Quantum::Wave`]) runs the rest of the current wave, every worker
+//! claiming chunks dynamically. The served quantum ([`Quantum::Round`])
+//! runs one chunk per worker thread and then returns, so a scheduler can
+//! interleave jobs between any two chunks. Both merge the same chunks in
+//! the same order, so how a wave is cut into steps never changes a bit:
+//! the completed chunks' forked states wait in the [`WaveState`] until the
+//! wave's last chunk, and every budget decision still happens at wave
+//! boundaries.
 //!
 //! The one thing that cannot be made deterministic is a *hard* service
 //! limit ([`lbs_service::QueryBudget::limit`]): which concurrent query hits
@@ -67,6 +77,7 @@
 //! assert_eq!(serial.ci95, parallel.ci95);
 //! ```
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -189,31 +200,80 @@ struct ChunkResult<B> {
     aborted: bool,
 }
 
+/// How far one [`SampleDriver::step`] advances a run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Quantum {
+    /// One chunk per worker thread (a *round*), or fewer at the wave's
+    /// end: the scheduling quantum of a served session.
+    Round,
+    /// The rest of the current wave, its chunks claimed dynamically across
+    /// all workers: the batch quantum.
+    Wave,
+}
+
+/// The part of a wave that is still in flight between two steps.
+#[derive(Clone, Debug)]
+struct WaveInFlight<B> {
+    /// Samples in the wave.
+    len: u64,
+    /// Chunks of the wave completed (and merged) so far.
+    chunks_done: u64,
+    /// Queries the wave's completed chunks issued.
+    queries: u64,
+    /// Forked states of the completed chunks in chunk order, absorbed into
+    /// the master state once the wave's last chunk is done.
+    states: Vec<B>,
+}
+
 /// The resumable accumulation state of a budget-bounded sampling run.
 ///
-/// [`SampleDriver::run`] is a thin loop over [`SampleDriver::step_wave`];
-/// everything the loop carries between waves lives here, which is what makes
+/// [`SampleDriver::run`] is a thin loop over [`SampleDriver::step`];
+/// everything the loop carries between steps lives here, which is what makes
 /// an estimation run interruptible: snapshot the `WaveState` (plus the
-/// estimator's own shared state) at any wave boundary, and stepping the
-/// snapshot forward is bit-identical to never having stopped — the next wave
-/// is a pure function of this state, the root seed and the budget.
-#[derive(Clone, Debug, Default)]
-pub struct WaveState {
-    /// Merged per-sample statistics, query costs and trace so far.
+/// estimator's own shared state) between any two steps — at a wave boundary
+/// or between two chunk rounds of a wave — and stepping the snapshot forward
+/// is bit-identical to never having stopped. The next step is a pure
+/// function of this state, the root seed and the budget. `B` is the
+/// per-chunk forked state; a wave in flight holds its completed chunks'
+/// forks until the wave ends.
+#[derive(Clone, Debug)]
+pub struct WaveState<B = ()> {
+    /// Merged per-sample statistics, query costs and trace so far,
+    /// including the completed chunks of a wave in flight.
     pub outcome: DriverOutcome,
-    /// Global index of the first sample of the next wave.
+    /// Global index of the first sample of the wave in flight, or of the
+    /// next wave.
     pub next_index: u64,
-    /// Waves stepped so far.
+    /// Waves completed so far.
     pub waves: u64,
     /// Set once the run is over (budget spent, hard limit hit, or free
     /// samples detected); further steps are no-ops.
     pub finished: bool,
+    in_flight: Option<WaveInFlight<B>>,
 }
 
-impl WaveState {
+impl<B> Default for WaveState<B> {
+    fn default() -> Self {
+        WaveState {
+            outcome: DriverOutcome::default(),
+            next_index: 0,
+            waves: 0,
+            finished: false,
+            in_flight: None,
+        }
+    }
+}
+
+impl<B> WaveState<B> {
     /// A fresh state at sample index 0.
     pub fn new() -> Self {
         WaveState::default()
+    }
+
+    /// `true` while a wave is in flight: the last step ended between two
+    /// chunk rounds rather than at a wave boundary.
+    pub fn in_wave(&self) -> bool {
+        self.in_flight.is_some()
     }
 }
 
@@ -298,7 +358,8 @@ impl SampleDriver {
     {
         let mut state = WaveState::new();
         while !state.finished {
-            self.step_wave(
+            self.step(
+                Quantum::Wave,
                 query_budget,
                 root_seed,
                 is_ratio,
@@ -313,24 +374,32 @@ impl SampleDriver {
         state.outcome
     }
 
-    /// Advances a resumable run by exactly one wave (or marks it finished).
+    /// Advances a resumable run by one [`Quantum`] (or marks it finished).
     ///
     /// This is the loop body of [`SampleDriver::run`], exposed so that a
-    /// [`crate::session::EstimationSession`] can interleave waves of many
+    /// [`crate::session::EstimationSession`] can interleave steps of many
     /// concurrent runs, snapshot the [`WaveState`] between them, and resume
-    /// later with bit-identical results. `wave_override` replaces the
-    /// adaptive wave sizing with a fixed number of samples per wave (the
-    /// scenario `[session] wave_size` knob); `None` keeps the sizing the
-    /// batch path uses, so a `None` session is byte-identical to
-    /// [`SampleDriver::run`].
+    /// later with bit-identical results. A step that starts at a wave
+    /// boundary first sizes the next wave; every step then runs chunks of
+    /// that wave — one per worker for [`Quantum::Round`], all that remain
+    /// for [`Quantum::Wave`] — and merges them in chunk order. The step that
+    /// completes a wave absorbs its forked states and applies the budget
+    /// rules, so the wave sizes, and with them every estimate, do not depend
+    /// on the quantum.
+    ///
+    /// `wave_override` replaces the adaptive wave sizing with a fixed number
+    /// of samples per wave (the scenario `[session] wave_size` knob); `None`
+    /// keeps the sizing the batch path uses, so a `None` session is
+    /// byte-identical to [`SampleDriver::run`].
     #[allow(clippy::too_many_arguments)] // the estimator-facing loop body; each argument is one role
-    pub fn step_wave<St, B, G, F, A>(
+    pub fn step<St, B, G, F, A>(
         &self,
+        quantum: Quantum,
         query_budget: u64,
         root_seed: u64,
         is_ratio: bool,
         wave_override: Option<u64>,
-        state: &mut WaveState,
+        state: &mut WaveState<B>,
         master: &mut St,
         fork: &G,
         sample: &F,
@@ -345,26 +414,50 @@ impl SampleDriver {
         if state.finished {
             return;
         }
-        if state.outcome.queries >= query_budget {
-            state.finished = true;
-            return;
-        }
-        let outcome = &mut state.outcome;
-        let wave = match wave_override {
-            Some(w) => w.clamp(1, MAX_WAVE_SAMPLES),
-            None => Self::wave_size(query_budget, outcome.queries, state.next_index),
+        let mut wave = match state.in_flight.take() {
+            Some(wave) => wave,
+            None => {
+                if state.outcome.queries >= query_budget {
+                    state.finished = true;
+                    return;
+                }
+                let len = match wave_override {
+                    Some(w) => w.clamp(1, MAX_WAVE_SAMPLES),
+                    None => Self::wave_size(query_budget, state.outcome.queries, state.next_index),
+                };
+                WaveInFlight {
+                    len,
+                    chunks_done: 0,
+                    queries: 0,
+                    states: Vec::with_capacity(len.div_ceil(CHUNK_SAMPLES) as usize),
+                }
+            }
         };
-        let chunks = self.run_wave(&*master, state.next_index, wave, root_seed, fork, sample);
+        let n_chunks = wave.len.div_ceil(CHUNK_SAMPLES);
+        let claim = match quantum {
+            Quantum::Round => (n_chunks - wave.chunks_done).min(self.threads as u64),
+            Quantum::Wave => n_chunks - wave.chunks_done,
+        };
+        let chunks = self.run_chunks(
+            &*master,
+            state.next_index,
+            wave.len,
+            wave.chunks_done..wave.chunks_done + claim,
+            root_seed,
+            fork,
+            sample,
+        );
+        wave.chunks_done += claim;
 
-        let mut wave_queries = 0u64;
-        let mut wave_aborted = false;
-        let mut states = Vec::with_capacity(chunks.len());
+        let outcome = &mut state.outcome;
+        let mut aborted = false;
         for chunk in chunks {
             outcome.numerator.merge(&chunk.numerator);
             outcome.denominator.merge(&chunk.denominator);
-            wave_queries += chunk.queries;
-            wave_aborted |= chunk.aborted;
-            states.push(chunk.state);
+            outcome.queries += chunk.queries;
+            wave.queries += chunk.queries;
+            aborted |= chunk.aborted;
+            wave.states.push(chunk.state);
             // One trace point per chunk keeps the convergence trace
             // (paper Figure 12) fine-grained even though budget checks
             // only happen at wave boundaries.
@@ -379,20 +472,23 @@ impl SampleDriver {
                     outcome.numerator.mean()
                 };
                 outcome.trace.push(TracePoint {
-                    query_cost: outcome.queries + wave_queries,
+                    query_cost: outcome.queries,
                     estimate,
                 });
             }
         }
-        outcome.queries += wave_queries;
-        state.next_index += wave;
-        state.waves += 1;
-        absorb(master, states);
+        if !aborted && wave.chunks_done < n_chunks {
+            state.in_flight = Some(wave);
+            return;
+        }
 
-        if wave_aborted {
+        state.next_index += wave.len;
+        state.waves += 1;
+        absorb(master, wave.states);
+        if aborted {
             outcome.exhausted = true;
             state.finished = true;
-        } else if wave_queries == 0 {
+        } else if wave.queries == 0 {
             // No sample issued a query: the service answers for free and
             // the soft budget can never be spent. Bail out rather than
             // loop forever.
@@ -416,14 +512,18 @@ impl SampleDriver {
         }
     }
 
-    /// Runs one wave of `count` samples starting at global index `start` and
-    /// returns the per-chunk results sorted by chunk index, truncated after
-    /// the first aborted chunk.
-    fn run_wave<St, B, G, F>(
+    /// Runs the chunks `chunks` of the wave of `count` samples starting at
+    /// global index `start` and returns their results sorted by chunk
+    /// index, truncated after the first aborted chunk. Workers claim chunks
+    /// dynamically; with one worker the chunks run inline, in order, on the
+    /// calling thread.
+    #[allow(clippy::too_many_arguments)] // one wave's coordinates plus the sample roles
+    fn run_chunks<St, B, G, F>(
         &self,
         master: &St,
         start: u64,
         count: u64,
+        chunks: Range<u64>,
         root_seed: u64,
         fork: &G,
         sample: &F,
@@ -434,12 +534,56 @@ impl SampleDriver {
         G: Fn(&St) -> B + Sync,
         F: Fn(&mut B, u64, &mut StdRng) -> Result<SampleOutcome, QueryError> + Sync,
     {
-        let n_chunks = count.div_ceil(CHUNK_SAMPLES);
-        let cursor = AtomicU64::new(0);
+        let run_chunk = |chunk: u64| {
+            let lo = start + chunk * CHUNK_SAMPLES;
+            let hi = (lo + CHUNK_SAMPLES).min(start + count);
+            let mut state = fork(master);
+            let mut numerator = RunningStats::new();
+            let mut denominator = RunningStats::new();
+            let mut queries = 0u64;
+            let mut aborted = false;
+            for index in lo..hi {
+                let mut rng = StdRng::seed_from_u64(sample_seed(root_seed, index));
+                match sample(&mut state, index, &mut rng) {
+                    Ok(out) => {
+                        numerator.push(out.numerator);
+                        denominator.push(out.denominator);
+                        queries += out.queries;
+                    }
+                    Err(QueryError::BudgetExhausted { .. }) => {
+                        aborted = true;
+                        break;
+                    }
+                }
+            }
+            ChunkResult {
+                chunk,
+                state,
+                numerator,
+                denominator,
+                queries,
+                aborted,
+            }
+        };
+
+        let n_chunks = chunks.end - chunks.start;
+        let workers = self.threads.min(n_chunks as usize).max(1);
+        if workers == 1 {
+            let mut results = Vec::with_capacity(n_chunks as usize);
+            for chunk in chunks {
+                let result = run_chunk(chunk);
+                let aborted = result.aborted;
+                results.push(result);
+                if aborted {
+                    break;
+                }
+            }
+            return results;
+        }
+
+        let cursor = AtomicU64::new(chunks.start);
         let stop = AtomicBool::new(false);
         let results: Mutex<Vec<ChunkResult<B>>> = Mutex::new(Vec::with_capacity(n_chunks as usize));
-        let workers = self.threads.min(n_chunks as usize).max(1);
-
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| loop {
@@ -447,53 +591,28 @@ impl SampleDriver {
                         break;
                     }
                     let chunk = cursor.fetch_add(1, Ordering::Relaxed);
-                    if chunk >= n_chunks {
+                    if chunk >= chunks.end {
                         break;
                     }
-                    let lo = start + chunk * CHUNK_SAMPLES;
-                    let hi = (lo + CHUNK_SAMPLES).min(start + count);
-                    let mut state = fork(master);
-                    let mut numerator = RunningStats::new();
-                    let mut denominator = RunningStats::new();
-                    let mut queries = 0u64;
-                    let mut aborted = false;
-                    for index in lo..hi {
-                        let mut rng = StdRng::seed_from_u64(sample_seed(root_seed, index));
-                        match sample(&mut state, index, &mut rng) {
-                            Ok(out) => {
-                                numerator.push(out.numerator);
-                                denominator.push(out.denominator);
-                                queries += out.queries;
-                            }
-                            Err(QueryError::BudgetExhausted { .. }) => {
-                                aborted = true;
-                                stop.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                        }
+                    let result = run_chunk(chunk);
+                    if result.aborted {
+                        stop.store(true, Ordering::Relaxed);
                     }
-                    results.lock().unwrap().push(ChunkResult {
-                        chunk,
-                        state,
-                        numerator,
-                        denominator,
-                        queries,
-                        aborted,
-                    });
+                    results.lock().unwrap().push(result);
                 });
             }
         });
 
-        let mut chunks = results.into_inner().unwrap();
-        chunks.sort_by_key(|c| c.chunk);
+        let mut results = results.into_inner().unwrap();
+        results.sort_by_key(|c| c.chunk);
         // A hard-limit abort invalidates every later chunk: the serial
         // estimators stop at the first failed sample, and keeping
         // later-indexed survivors would make the sample set depend on
         // scheduling more than it has to.
-        if let Some(first_aborted) = chunks.iter().position(|c| c.aborted) {
-            chunks.truncate(first_aborted + 1);
+        if let Some(first_aborted) = results.iter().position(|c| c.aborted) {
+            results.truncate(first_aborted + 1);
         }
-        chunks
+        results
     }
 }
 
@@ -624,6 +743,88 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(collected, sorted, "chunk states must arrive in index order");
         assert!(!collected.is_empty());
+    }
+
+    /// A fake sample that records the first index its chunk served in the
+    /// chunk state and fails from index `fail_from` on (a hard limit).
+    fn recording_sample(
+        fail_from: u64,
+    ) -> impl Fn(&mut u64, u64, &mut StdRng) -> Result<SampleOutcome, QueryError> + Sync {
+        move |first, index, _| {
+            if index >= fail_from {
+                return Err(QueryError::BudgetExhausted {
+                    issued: 3 * fail_from,
+                    limit: 3 * fail_from,
+                });
+            }
+            if *first == u64::MAX {
+                *first = index;
+            }
+            Ok(fake_sample(index))
+        }
+    }
+
+    #[test]
+    fn round_stepping_equals_run_bitwise() {
+        // (budget, fail_from): a plain run whose later waves span many
+        // chunks, and a hard-limit abort inside chunk 2 of the 8-chunk
+        // opening wave.
+        for (budget, fail_from) in [(500, u64::MAX), (10_000, 20)] {
+            for threads in [1, 2, 3, 8] {
+                let driver = SampleDriver::new(threads);
+                let fork = |_: &Vec<u64>| u64::MAX;
+                let sample = recording_sample(fail_from);
+                let absorb = |absorbed: &mut Vec<u64>, states: Vec<u64>| absorbed.extend(states);
+                let mut run_absorbed = Vec::new();
+                let expected =
+                    driver.run(budget, 99, false, &mut run_absorbed, fork, &sample, absorb);
+
+                let mut absorbed = Vec::new();
+                let mut state = WaveState::new();
+                let mut mid_wave_steps = 0;
+                while !state.finished {
+                    let (waves, samples) = (state.waves, state.outcome.numerator.count());
+                    driver.step(
+                        Quantum::Round,
+                        budget,
+                        99,
+                        false,
+                        None,
+                        &mut state,
+                        &mut absorbed,
+                        &fork,
+                        &sample,
+                        &absorb,
+                    );
+                    let grown = state.outcome.numerator.count() - samples;
+                    assert!(
+                        grown <= threads as u64 * CHUNK_SAMPLES,
+                        "one chunk per worker"
+                    );
+                    if state.in_wave() {
+                        mid_wave_steps += 1;
+                        assert_eq!(state.waves, waves, "a wave counts once it is done");
+                    }
+                }
+                let case = format!("threads {threads}, budget {budget}, fail_from {fail_from}");
+                // The abort lands in chunk 2, so only 1 and 2 workers leave
+                // the opening wave between rounds before it.
+                if fail_from == u64::MAX || threads < 3 {
+                    assert!(mid_wave_steps > 0, "{case}: no round ended inside a wave");
+                }
+                assert_eq!(state.outcome.numerator, expected.numerator, "{case}");
+                assert_eq!(state.outcome.denominator, expected.denominator, "{case}");
+                assert_eq!(state.outcome.queries, expected.queries, "{case}");
+                assert_eq!(state.outcome.trace, expected.trace, "{case}");
+                assert_eq!(state.outcome.exhausted, expected.exhausted, "{case}");
+                assert_eq!(absorbed, run_absorbed, "{case}: absorb order");
+                if fail_from != u64::MAX {
+                    assert!(state.outcome.exhausted);
+                    assert_eq!(state.outcome.numerator.count(), fail_from, "{case}");
+                    assert_eq!(state.waves, 1, "{case}");
+                }
+            }
+        }
     }
 
     #[test]

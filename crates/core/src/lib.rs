@@ -45,7 +45,7 @@ pub mod stratified;
 
 pub use agg::{AggFunction, Aggregate, Selection};
 pub use baseline::{NnoBaseline, NnoConfig};
-pub use driver::{DriverOutcome, SampleDriver, SampleOutcome, WaveState};
+pub use driver::{DriverOutcome, Quantum, SampleDriver, SampleOutcome, WaveState};
 pub use engine_stats::{EngineReport, SharedEngineCounters};
 pub use estimate::{Estimate, EstimateError, TracePoint};
 pub use lnr::{LnrLbsAgg, LnrLbsAggConfig, LocatedTuple};

@@ -128,7 +128,7 @@ impl LnrLbsAgg {
         let cfg = SessionConfig::new(query_budget, root_seed).with_threads(driver.threads());
         let mut session = LnrSession::new(service, region, aggregate, self.config.clone(), cfg);
         while !session.is_finished() {
-            session.step();
+            session.run_wave();
         }
         session.finalize()
     }

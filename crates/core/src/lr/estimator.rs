@@ -257,7 +257,7 @@ impl LrLbsAgg {
             cfg,
         );
         while !session.is_finished() {
-            session.step();
+            session.run_wave();
         }
         let result = session.finalize();
         self.history = session.into_history();

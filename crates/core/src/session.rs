@@ -4,11 +4,14 @@
 //! tightens the Horvitz–Thompson estimate — but the batch facades
 //! (`estimate` / `estimate_parallel`) only surface the final answer. An
 //! [`EstimationSession`] exposes the run itself: it owns the per-sample
-//! seeded RNG stream, advances **one wave at a time** under explicit control
-//! of its caller, and can report the current estimate, running confidence
-//! interval, queries spent and [`EngineReport`] after any step. This is the
-//! substrate of the `lbs-server` multi-tenant scheduler, which interleaves
-//! waves of many concurrent jobs over shared query budgets.
+//! seeded RNG stream, advances under explicit control of its caller, and can
+//! report the current estimate, running confidence interval, queries spent
+//! and [`EngineReport`] after any step. [`EstimationSession::step`] advances
+//! **one chunk round** (one [`crate::driver::CHUNK_SAMPLES`]-sample chunk
+//! per worker thread) and [`EstimationSession::run_wave`] the rest of the
+//! current wave; both give the same bits. This is the substrate of the
+//! `lbs-server` multi-tenant scheduler, which interleaves chunk rounds of
+//! many concurrent jobs over shared query budgets.
 //!
 //! # Modes
 //!
@@ -26,11 +29,12 @@
 //!
 //! # Checkpoint / resume determinism
 //!
-//! A wave-mode session is Markovian: the next wave is a pure function of the
+//! A wave-mode session is Markovian: the next step is a pure function of the
 //! session state, the root seed and the budget — never of wall-clock time,
 //! thread count or how often the caller paused. [`EstimationSession::checkpoint`]
 //! snapshots the entire owned state (accumulators, sample cursor, estimator
-//! state such as the LR [`History`]); [`EstimationSession::resume`] rebuilds
+//! state such as the LR [`History`], and the forked histories of a wave in
+//! flight), between any two steps; [`EstimationSession::resume`] rebuilds
 //! a session from a snapshot and a service handle. Stepping a resumed
 //! session is **bit-identical** to never having checkpointed, at every
 //! thread count, and replays the same queries against the service, so even
@@ -44,9 +48,13 @@
 //!
 //! Wave-mode sessions stop at the first of: soft budget spent (the wave in
 //! flight finishes, mirroring the batch overshoot), target confidence
-//! reached (`target_ci_halfwidth`, checked at wave boundaries), wall-clock
-//! cap (`max_wall_ms`), hard service limit, or a caller's cancel. The
-//! [`StopReason`] is reported in every [`AnytimeSnapshot`].
+//! reached (`target_ci_halfwidth`), wall-clock cap (`max_wall_ms`), hard
+//! service limit, or a caller's cancel. The budget, precision and wall-clock
+//! rules are checked at wave boundaries only, never between the chunk rounds
+//! of a wave; a cancel takes effect at once. The [`StopReason`] is reported
+//! in every [`AnytimeSnapshot`].
+
+use std::time::Duration;
 
 use rand::Rng;
 
@@ -56,7 +64,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::agg::Aggregate;
 use crate::baseline::{NnoBaseline, NnoConfig};
-use crate::driver::{DriverOutcome, SampleDriver, SampleOutcome, WaveState};
+use crate::driver::{DriverOutcome, Quantum, SampleDriver, SampleOutcome, WaveState};
 use crate::engine_stats::{EngineReport, SharedEngineCounters};
 use crate::estimate::{point_and_error, Estimate, EstimateError, TracePoint};
 use crate::lnr::cell::LnrExploreConfig;
@@ -79,8 +87,9 @@ pub struct SessionConfig {
     pub threads: usize,
     /// Fixed samples per wave. `None` keeps the adaptive sizing of the batch
     /// path (byte-identical to `estimate_parallel`); `Some(n)` pins every
-    /// wave to `n` samples, which makes every multiple of `n` a
-    /// checkpointable sample index.
+    /// wave to `n` samples, so the budget and early-stop rules run after
+    /// every `n` samples. (Any chunk boundary is a checkpointable sample
+    /// index, whatever the wave size.)
     pub wave_size: Option<u64>,
     /// Stop early once the 95 % confidence interval half-width
     /// (`1.96 × std_error`) drops to this value or below (checked at wave
@@ -165,7 +174,8 @@ pub struct AnytimeSnapshot {
     /// Queries attributed to completed samples (wave mode) or spent on the
     /// service ledger (serial mode).
     pub queries: u64,
-    /// Waves stepped so far (serial mode counts samples).
+    /// Waves completed so far (serial mode counts samples); a wave in
+    /// flight is not counted until its last chunk is done.
     pub waves: u64,
     /// `true` once the session will not advance further.
     pub finished: bool,
@@ -195,21 +205,22 @@ enum Mode {
 }
 
 /// State shared by all three session kinds (everything but the estimator
-/// specifics and the service handle).
+/// specifics and the service handle). `B` is the per-chunk forked state the
+/// driver holds for a wave in flight (the LR [`History`], `()` otherwise).
 #[derive(Clone, Debug)]
-struct CommonState {
+struct CommonState<B = ()> {
     region: Rect,
     aggregate: Aggregate,
     cfg: SessionConfig,
     mode: Mode,
-    wave: WaveState,
+    wave: WaveState<B>,
     driver: SampleDriver,
-    /// Wall-clock milliseconds spent inside `step` calls so far.
-    elapsed_ms: u64,
+    /// Wall-clock time spent inside `step` calls so far.
+    elapsed: Duration,
     stop: Option<StopReason>,
 }
 
-impl CommonState {
+impl<B> CommonState<B> {
     fn new(region: Rect, aggregate: Aggregate, cfg: SessionConfig, mode: Mode) -> Self {
         // `SampleDriver::new` already resolves `0` to all cores; clamping
         // here would silently turn the documented "all cores" into 1.
@@ -221,7 +232,7 @@ impl CommonState {
             mode,
             wave: WaveState::new(),
             driver,
-            elapsed_ms: 0,
+            elapsed: Duration::ZERO,
             stop: None,
         }
     }
@@ -231,9 +242,14 @@ impl CommonState {
     }
 
     /// Applies the wave-boundary stop rules after one step and records the
-    /// reason. `wall_ms` is the duration of the step just taken.
-    fn apply_stop_rules(&mut self, wall_ms: u64) {
-        self.elapsed_ms = self.elapsed_ms.saturating_add(wall_ms);
+    /// reason. `wall` is the duration of the step just taken. A step that
+    /// ended inside a wave only adds its time: the rules wait for the wave's
+    /// last chunk, so where a wave is cut into steps never changes a bit.
+    fn apply_stop_rules(&mut self, wall: Duration) {
+        self.elapsed += wall;
+        if self.wave.in_wave() {
+            return;
+        }
         if self.wave.finished && self.stop.is_none() {
             self.stop = Some(if self.wave.outcome.exhausted {
                 StopReason::ServiceExhausted
@@ -266,7 +282,7 @@ impl CommonState {
             }
         }
         if let Some(cap) = self.cfg.max_wall_ms {
-            if self.elapsed_ms >= cap {
+            if self.elapsed >= Duration::from_millis(cap) {
                 self.wave.finished = true;
                 self.stop = Some(StopReason::WallClock);
             }
@@ -355,11 +371,6 @@ impl CommonState {
     }
 }
 
-/// Milliseconds a step took, as the saturating u64 the session accumulates.
-pub(crate) fn elapsed_ms(started: std::time::Instant) -> u64 {
-    u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX)
-}
-
 // ---------------------------------------------------------------------------
 // LR session
 // ---------------------------------------------------------------------------
@@ -368,7 +379,7 @@ pub(crate) fn elapsed_ms(started: std::time::Instant) -> u64 {
 /// [`LrSession::checkpoint`] snapshots and [`LrSession::resume`] restores.
 #[derive(Clone, Debug)]
 pub struct LrSessionState {
-    common: CommonState,
+    common: CommonState<History>,
     config: LrLbsAggConfig,
     sampler: QuerySampler,
     k: usize,
@@ -480,13 +491,33 @@ impl<S: LbsBackend> LrSession<S> {
         self.state.common.wave.finished
     }
 
-    /// Advances a wave-mode session by one wave.
+    /// Advances a wave-mode session by one chunk round: one
+    /// [`crate::driver::CHUNK_SAMPLES`]-sample chunk per worker thread,
+    /// the scheduling quantum of a served job. The forked histories of the
+    /// round's chunks wait in the session until the wave's last chunk, so
+    /// stepping by rounds is bit-identical to [`LrSession::run_wave`].
     ///
     /// # Panics
     ///
     /// Panics on serial-mode sessions — those advance with
     /// [`LrSession::step_serial`].
     pub fn step(&mut self) {
+        self.advance(Quantum::Round);
+    }
+
+    /// Advances a wave-mode session to the end of its current wave (a whole
+    /// wave at a wave boundary), claiming chunks dynamically across all
+    /// worker threads — the batch quantum.
+    ///
+    /// # Panics
+    ///
+    /// Panics on serial-mode sessions.
+    pub fn run_wave(&mut self) {
+        self.advance(Quantum::Wave);
+    }
+
+    /// Advances a wave-mode session by one `quantum`.
+    pub(crate) fn advance(&mut self, quantum: Quantum) {
         assert!(
             matches!(self.state.common.mode, Mode::Waves),
             "step() drives wave-mode sessions; serial sessions use step_serial()"
@@ -510,7 +541,8 @@ impl<S: LbsBackend> LrSession<S> {
         let is_ratio = common.is_ratio();
         let (config, sampler, k) = (&*config, &*sampler, *k);
         let driver = common.driver.clone();
-        driver.step_wave(
+        driver.step(
+            quantum,
             common.cfg.query_budget,
             common.cfg.root_seed,
             is_ratio,
@@ -535,7 +567,7 @@ impl<S: LbsBackend> LrSession<S> {
                 }
             },
         );
-        common.apply_stop_rules(elapsed_ms(started));
+        common.apply_stop_rules(started.elapsed());
     }
 
     /// Advances a serial-mode session by one sample drawn from `rng`.
@@ -589,7 +621,7 @@ impl<S: LbsBackend> LrSession<S> {
                 let ledger_cost = self.service.queries_issued() - start_cost;
                 let trace_every = config.trace_every;
                 common.push_serial_sample(num, den, ledger_cost, trace_every);
-                common.apply_stop_rules(elapsed_ms(started));
+                common.apply_stop_rules(started.elapsed());
             }
             Err(QueryError::BudgetExhausted { .. }) => {
                 common.wave.finished = true;
@@ -683,6 +715,11 @@ impl<S: LbsBackend> LrSession<S> {
     /// Why the session stopped, once it has.
     pub(crate) fn stop_reason(&self) -> Option<StopReason> {
         self.state.common.stop
+    }
+
+    /// `true` while the last step ended inside a wave.
+    pub(crate) fn in_wave(&self) -> bool {
+        self.state.common.wave.in_wave()
     }
 }
 
@@ -786,8 +823,20 @@ impl<S: LbsBackend> LnrSession<S> {
         self.state.common.wave.finished
     }
 
-    /// Advances a wave-mode session by one wave (see [`LrSession::step`]).
+    /// Advances a wave-mode session by one chunk round (see
+    /// [`LrSession::step`]).
     pub fn step(&mut self) {
+        self.advance(Quantum::Round);
+    }
+
+    /// Advances a wave-mode session to the end of its current wave (see
+    /// [`LrSession::run_wave`]).
+    pub fn run_wave(&mut self) {
+        self.advance(Quantum::Wave);
+    }
+
+    /// Advances a wave-mode session by one `quantum`.
+    pub(crate) fn advance(&mut self, quantum: Quantum) {
         assert!(
             matches!(self.state.common.mode, Mode::Waves),
             "step() drives wave-mode sessions; serial sessions use step_serial()"
@@ -813,7 +862,8 @@ impl<S: LbsBackend> LnrSession<S> {
         let counters = SharedEngineCounters::from_report(engine);
         let (explore, sampler, h, needs_location) = (&*explore, &*sampler, *h, *needs_location);
         let driver = common.driver.clone();
-        driver.step_wave(
+        driver.step(
+            quantum,
             common.cfg.query_budget,
             common.cfg.root_seed,
             is_ratio,
@@ -843,7 +893,7 @@ impl<S: LbsBackend> LnrSession<S> {
             &|_, _| {},
         );
         *engine = counters.report();
-        common.apply_stop_rules(elapsed_ms(started));
+        common.apply_stop_rules(started.elapsed());
     }
 
     /// Advances a serial-mode session by one sample (see
@@ -894,7 +944,7 @@ impl<S: LbsBackend> LnrSession<S> {
                 *engine = counters.report();
                 let ledger_cost = self.service.queries_issued() - start_cost;
                 common.push_serial_sample(num, den, ledger_cost, *trace_every);
-                common.apply_stop_rules(elapsed_ms(started));
+                common.apply_stop_rules(started.elapsed());
             }
             Err(QueryError::BudgetExhausted { .. }) => {
                 *engine = counters.report();
@@ -961,6 +1011,11 @@ impl<S: LbsBackend> LnrSession<S> {
     /// Why the session stopped, once it has.
     pub(crate) fn stop_reason(&self) -> Option<StopReason> {
         self.state.common.stop
+    }
+
+    /// `true` while the last step ended inside a wave.
+    pub(crate) fn in_wave(&self) -> bool {
+        self.state.common.wave.in_wave()
     }
 }
 
@@ -1051,8 +1106,20 @@ impl<S: LbsBackend> NnoSession<S> {
         self.state.common.wave.finished
     }
 
-    /// Advances a wave-mode session by one wave (see [`LrSession::step`]).
+    /// Advances a wave-mode session by one chunk round (see
+    /// [`LrSession::step`]).
     pub fn step(&mut self) {
+        self.advance(Quantum::Round);
+    }
+
+    /// Advances a wave-mode session to the end of its current wave (see
+    /// [`LrSession::run_wave`]).
+    pub fn run_wave(&mut self) {
+        self.advance(Quantum::Wave);
+    }
+
+    /// Advances a wave-mode session by one `quantum`.
+    pub(crate) fn advance(&mut self, quantum: Quantum) {
         assert!(
             matches!(self.state.common.mode, Mode::Waves),
             "step() drives wave-mode sessions; serial sessions use step_serial()"
@@ -1074,7 +1141,8 @@ impl<S: LbsBackend> NnoSession<S> {
         let counters = SharedEngineCounters::from_report(engine);
         let config = &*config;
         let driver = common.driver.clone();
-        driver.step_wave(
+        driver.step(
+            quantum,
             common.cfg.query_budget,
             common.cfg.root_seed,
             is_ratio,
@@ -1096,7 +1164,7 @@ impl<S: LbsBackend> NnoSession<S> {
             &|_, _| {},
         );
         *engine = counters.report();
-        common.apply_stop_rules(elapsed_ms(started));
+        common.apply_stop_rules(started.elapsed());
     }
 
     /// Advances a serial-mode session by one sample (see
@@ -1141,7 +1209,7 @@ impl<S: LbsBackend> NnoSession<S> {
                 let ledger_cost = self.service.queries_issued() - start_cost;
                 let trace_every = config.trace_every;
                 common.push_serial_sample(num, den, ledger_cost, trace_every);
-                common.apply_stop_rules(elapsed_ms(started));
+                common.apply_stop_rules(started.elapsed());
             }
             Err(QueryError::BudgetExhausted { .. }) => {
                 *engine = counters.report();
@@ -1209,6 +1277,11 @@ impl<S: LbsBackend> NnoSession<S> {
     pub(crate) fn stop_reason(&self) -> Option<StopReason> {
         self.state.common.stop
     }
+
+    /// `true` while the last step ended inside a wave.
+    pub(crate) fn in_wave(&self) -> bool {
+        self.state.common.wave.in_wave()
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1255,13 +1328,26 @@ impl<S: LbsBackend> EstimationSession<S> {
         }
     }
 
-    /// Advances a wave-mode session by one wave.
+    /// Advances the session by one chunk round (one chunk per worker
+    /// thread) — the scheduler's quantum. Bit-identical to stepping by
+    /// whole waves.
     pub fn step(&mut self) {
         match self {
             EstimationSession::Lr(s) => s.step(),
             EstimationSession::Lnr(s) => s.step(),
             EstimationSession::Nno(s) => s.step(),
             EstimationSession::Stratified(s) => s.step(),
+        }
+    }
+
+    /// Advances the session to the end of its current wave — the batch
+    /// quantum, with chunks claimed dynamically across all worker threads.
+    pub fn run_wave(&mut self) {
+        match self {
+            EstimationSession::Lr(s) => s.run_wave(),
+            EstimationSession::Lnr(s) => s.run_wave(),
+            EstimationSession::Nno(s) => s.run_wave(),
+            EstimationSession::Stratified(s) => s.run_wave(),
         }
     }
 

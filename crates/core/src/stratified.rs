@@ -35,7 +35,10 @@
 //!   the stratum weights (ties broken by stratum id);
 //! * the Neyman re-allocation happens at exactly one point — the wave
 //!   boundary where the last pilot child finishes — and reads only the
-//!   children's accumulated sample variances.
+//!   children's accumulated sample variances;
+//! * the round-robin cursor moves to the next stratum only when the child
+//!   it stepped reaches a wave boundary, so stepping by chunk rounds
+//!   interleaves the children's waves exactly as stepping by whole waves.
 //!
 //! Results are therefore bit-identical at every thread count and across any
 //! checkpoint/resume cut, exactly like the flat sessions. A single-stratum
@@ -44,6 +47,7 @@
 //! configuration.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use lbs_data::Stratum;
 use lbs_geom::{ConvexPolygon, Rect};
@@ -51,14 +55,14 @@ use lbs_service::LbsBackend;
 
 use crate::agg::Aggregate;
 use crate::baseline::NnoConfig;
-use crate::driver::stratum_seed;
+use crate::driver::{stratum_seed, Quantum};
 use crate::engine_stats::EngineReport;
 use crate::estimate::{Estimate, EstimateError};
 use crate::lnr::LnrLbsAggConfig;
 use crate::lr::LrLbsAggConfig;
 use crate::session::{
-    elapsed_ms, AnytimeSnapshot, LnrSession, LnrSessionState, LrSession, LrSessionState,
-    NnoSession, NnoSessionState, SessionConfig, StopReason,
+    AnytimeSnapshot, LnrSession, LnrSessionState, LrSession, LrSessionState, NnoSession,
+    NnoSessionState, SessionConfig, StopReason,
 };
 use crate::stats::Summary;
 
@@ -114,11 +118,19 @@ enum StratumChild<S: LbsBackend> {
 }
 
 impl<S: LbsBackend> StratumChild<S> {
-    fn step(&mut self) {
+    fn advance(&mut self, quantum: Quantum) {
         match self {
-            StratumChild::Lr(s) => s.step(),
-            StratumChild::Lnr(s) => s.step(),
-            StratumChild::Nno(s) => s.step(),
+            StratumChild::Lr(s) => s.advance(quantum),
+            StratumChild::Lnr(s) => s.advance(quantum),
+            StratumChild::Nno(s) => s.advance(quantum),
+        }
+    }
+
+    fn in_wave(&self) -> bool {
+        match self {
+            StratumChild::Lr(s) => s.in_wave(),
+            StratumChild::Lnr(s) => s.in_wave(),
+            StratumChild::Nno(s) => s.in_wave(),
         }
     }
 
@@ -228,9 +240,10 @@ struct SharedState {
     allocation: AllocationPolicy,
     cfg: SessionConfig,
     phase: Phase,
-    /// Next stratum the round-robin scheduler will step.
+    /// Next stratum the round-robin scheduler will step (it stays on a
+    /// child until that child's wave in flight is done).
     cursor: usize,
-    elapsed_ms: u64,
+    elapsed: Duration,
     stop: Option<StopReason>,
     finished: bool,
 }
@@ -362,7 +375,7 @@ impl<S: LbsBackend> StratifiedSession<S> {
                 cfg,
                 phase,
                 cursor: 0,
-                elapsed_ms: 0,
+                elapsed: Duration::ZERO,
                 stop: None,
                 finished: false,
             },
@@ -392,13 +405,24 @@ impl<S: LbsBackend> StratifiedSession<S> {
         }
     }
 
-    /// Advances the session by one child wave: the round-robin cursor picks
-    /// the next unfinished stratum and steps it once. When the last Neyman
-    /// pilot child finishes, the final allocation is granted at that same
-    /// wave boundary.
+    /// Advances the session by one chunk round of one child: the
+    /// round-robin cursor picks the next unfinished stratum and steps it.
+    /// The cursor stays on that child until its wave is done; at that wave
+    /// boundary the combined stop rules run and, when the last Neyman pilot
+    /// child finishes, the final allocation is granted.
     pub fn step(&mut self) {
+        self.advance(Quantum::Round);
+    }
+
+    /// Advances the next unfinished child to the end of its current wave
+    /// (see [`StratifiedSession::step`]) — the batch quantum.
+    pub fn run_wave(&mut self) {
+        self.advance(Quantum::Wave);
+    }
+
+    fn advance(&mut self, quantum: Quantum) {
         if self.shared.phase == Phase::Single {
-            self.children[0].step();
+            self.children[0].advance(quantum);
             return;
         }
         if self.shared.finished {
@@ -407,18 +431,24 @@ impl<S: LbsBackend> StratifiedSession<S> {
         // lbs-lint: allow(ambient-time, reason = "wall-clock early-stop picks when to stop; the estimate at any stop point stays bit-identical (session_checkpoint tests)")
         let started = std::time::Instant::now();
         let n = self.children.len();
+        let mut mid_wave = false;
         for offset in 0..n {
             let idx = (self.shared.cursor + offset) % n;
             if !self.children[idx].is_finished() {
-                self.children[idx].step();
-                self.shared.cursor = (idx + 1) % n;
+                self.children[idx].advance(quantum);
+                mid_wave = self.children[idx].in_wave();
+                self.shared.cursor = if mid_wave { idx } else { (idx + 1) % n };
                 break;
             }
+        }
+        self.shared.elapsed += started.elapsed();
+        if mid_wave {
+            return;
         }
         if self.shared.phase == Phase::Pilot && self.children.iter().all(|c| c.is_finished()) {
             self.grant_final_allocation();
         }
-        self.apply_stop_rules(elapsed_ms(started));
+        self.apply_stop_rules();
     }
 
     /// Grants the post-pilot (Neyman) budget: the unspent half of the total
@@ -464,9 +494,8 @@ impl<S: LbsBackend> StratifiedSession<S> {
 
     /// Combined stop rules, mirroring the flat sessions': all children done
     /// → a derived terminal reason; otherwise the combined-estimate target
-    /// precision, then the wall-clock cap.
-    fn apply_stop_rules(&mut self, wall_ms: u64) {
-        self.shared.elapsed_ms = self.shared.elapsed_ms.saturating_add(wall_ms);
+    /// precision, then the wall-clock cap. Runs at child wave boundaries.
+    fn apply_stop_rules(&mut self) {
         if self.children.iter().all(|c| c.is_finished()) {
             self.shared.finished = true;
             if self.shared.stop.is_none() {
@@ -497,7 +526,7 @@ impl<S: LbsBackend> StratifiedSession<S> {
             }
         }
         if let Some(cap) = self.shared.cfg.max_wall_ms {
-            if self.shared.elapsed_ms >= cap {
+            if self.shared.elapsed >= Duration::from_millis(cap) {
                 for child in &mut self.children {
                     child.cancel();
                 }

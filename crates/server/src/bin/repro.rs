@@ -927,7 +927,7 @@ fn client_inner(options: &ClientOptions) -> Result<(), String> {
         let backend = workload.backend();
         let mut session = workload.start_session(backend, workload.session_config(1, 0))?;
         while !session.is_finished() {
-            session.step();
+            session.run_wave();
         }
         let local = session
             .finalize()

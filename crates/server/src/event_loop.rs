@@ -6,11 +6,17 @@
 //! parse state machine ([`crate::http`]), keep-alive, idle timeouts, and
 //! explicit backpressure. Two helper threads complete the core:
 //!
-//! * the **ticker** drives [`Scheduler::tick`] continuously (unchanged from
-//!   the blocking server), and
+//! * the **ticker** runs scheduler ticks continuously, holding the
+//!   scheduler lock only to check the next job's session out
+//!   ([`Scheduler::take`]) and to put it back ([`Scheduler::put_back`]).
+//!   The chunk round in between runs unlocked, so polls, cancels, stats
+//!   and submissions wait at most for a map update, not for a job's
+//!   samples; and
 //! * the **submission worker** drains the bounded
-//!   [`SubmissionQueue`] front-to-back — build the workload *outside* the
-//!   scheduler lock, submit, post the completion, wake the loop.
+//!   [`SubmissionQueue`] front-to-back — build the workload, backend and
+//!   session *outside* the scheduler lock, take the lock only to admit
+//!   (resolve the tenant's budget and cache) and to insert the finished
+//!   job, post the completion, wake the loop.
 //!
 //! ## The determinism contract
 //!
@@ -239,13 +245,7 @@ impl Server {
         let ticker_state = Arc::clone(&state);
         let ticker = std::thread::spawn(move || {
             while !ticker_state.shutting_down() {
-                let progressed = ticker_state
-                    .scheduler
-                    .lock()
-                    .expect("scheduler lock")
-                    .tick()
-                    .is_some();
-                if !progressed {
+                if !tick_unlocked(&ticker_state.scheduler) {
                     // Idle: nothing runnable. Sleep briefly instead of
                     // spinning on the lock.
                     std::thread::sleep(Duration::from_millis(2));
@@ -325,10 +325,27 @@ impl Server {
     }
 }
 
+/// One scheduler tick with the lock held only to check the next session out
+/// and to put it back: the chunk round itself runs unlocked. Returns `false`
+/// when no job is runnable.
+fn tick_unlocked(scheduler: &Mutex<Scheduler>) -> bool {
+    let Some(mut lease) = scheduler.lock().expect("scheduler lock").take() else {
+        return false;
+    };
+    lease.step();
+    let settled = scheduler.lock().expect("scheduler lock").put_back(lease);
+    // A settled job's session (dataset, backend, history) is freed here,
+    // after the lock is released.
+    drop(settled);
+    true
+}
+
 /// Drains the admission queue into the scheduler, strictly FIFO. The
-/// expensive workload build happens here, *outside* the scheduler lock, so
-/// running jobs keep ticking while a large submission materialises — without
-/// giving up the serial admission order (one worker, one queue).
+/// expensive work — the workload (dataset, ground truth), the service and
+/// its index, the session — happens here *outside* the scheduler lock, so
+/// running jobs keep ticking and requests keep being answered while a large
+/// submission materialises; the lock is taken only to admit the job and to
+/// insert it. One worker and one queue keep the serial admission order.
 fn submission_worker(state: Arc<ServerState>, queue: Arc<SubmissionQueue>, poller: Arc<Poller>) {
     while let Some(job) = queue.pop_blocking() {
         let ctx = state
@@ -337,11 +354,17 @@ fn submission_worker(state: Arc<ServerState>, queue: Arc<SubmissionQueue>, polle
             .expect("scheduler lock")
             .scenario_context();
         let result = lbs_bench::build_workload(&job.scenario, &ctx).and_then(|workload| {
-            state
+            let admission = state
                 .scheduler
                 .lock()
                 .expect("scheduler lock")
-                .submit_workload(workload, job.tenant.as_deref())
+                .admit(&workload, job.tenant.as_deref())?;
+            let built = admission.build(&workload)?;
+            Ok(state
+                .scheduler
+                .lock()
+                .expect("scheduler lock")
+                .insert(built))
         });
         queue.complete(job.ticket, result);
         let _ = poller.notify();

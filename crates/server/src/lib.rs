@@ -6,9 +6,10 @@
 //!
 //! Three pieces, bottom to top:
 //!
-//! * [`scheduler`] — a **deterministic round-robin scheduler** over
-//!   [`lbs_core::EstimationSession`] jobs. Each tick advances one job by one
-//!   wave; every job charges its tenant's shared
+//! * [`scheduler`] — a **deterministic least-attained-service scheduler**
+//!   over [`lbs_core::EstimationSession`] jobs. Each tick advances the job
+//!   with the fewest ticks by one chunk round, stepped outside the
+//!   scheduler's lock by the server; every job charges its tenant's shared
 //!   [`lbs_service::QueryBudget`], so quotas are enforced across jobs; and
 //!   because sessions derive all randomness from `(root_seed,
 //!   sample_index)`, every job's estimate stream is bit-identical no matter
@@ -49,6 +50,6 @@ pub use loadtest::{run_loadtest, LoadtestOptions};
 pub use probe::{run_cache_probe, run_session_probe};
 pub use queue::SubmissionQueue;
 pub use scheduler::{
-    CacheCounters, JobState, JobStatus, Scheduler, SchedulerConfig, SchedulerStats, TenantStatus,
-    DEFAULT_TENANT,
+    Admission, CacheCounters, JobState, JobStatus, Lease, NewJob, Scheduler, SchedulerConfig,
+    SchedulerStats, TenantStatus, DEFAULT_TENANT,
 };

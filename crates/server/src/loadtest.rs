@@ -310,7 +310,7 @@ pub fn run_loadtest(options: &LoadtestOptions) -> Result<LoadtestBenchReport, St
                 let backend = workload.backend();
                 let mut session = workload.start_session(backend, workload.session_config(1, 0))?;
                 while !session.is_finished() {
-                    session.step();
+                    session.run_wave();
                 }
                 let local = session
                     .finalize()

@@ -2,7 +2,7 @@
 //! `BENCH_repro.json`.
 //!
 //! Builds a fixed bundle of small single-tenant estimation jobs, runs them
-//! through the round-robin [`Scheduler`] once in submission order (timed)
+//! through the [`Scheduler`] once in submission order (timed)
 //! and once with the submission order shuffled (deterministically, from the
 //! probe seed), and compares every job's final estimate bitwise. The timed
 //! run yields the throughput metrics (jobs/s, mean time-to-first-estimate);

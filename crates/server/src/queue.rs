@@ -3,17 +3,18 @@
 //! **This queue is the determinism boundary.** The event loop parses
 //! requests in whatever order sockets become readable, but every accepted
 //! `POST /jobs` passes through here, and a *single* worker thread drains
-//! the queue front-to-back into [`Scheduler::submit_workload`]. Admission
-//! order — the order of successful `try_enqueue` calls — is therefore the
-//! only order the scheduler ever observes; socket
-//! readiness order is invisible to it.
+//! the queue front-to-back into [`Scheduler::admit`] and
+//! [`Scheduler::insert`]. Admission order — the order of successful
+//! `try_enqueue` calls — is therefore the only order the scheduler ever
+//! observes; socket readiness order is invisible to it.
 //!
 //! The queue is bounded: when `len == capacity` new submissions are
 //! rejected and the caller replies `429 Too Many Requests` with
 //! `Retry-After`. That is the server's explicit backpressure signal —
 //! nothing ever blocks the event loop, and nothing is silently dropped.
 //!
-//! [`Scheduler::submit_workload`]: crate::scheduler::Scheduler::submit_workload
+//! [`Scheduler::admit`]: crate::scheduler::Scheduler::admit
+//! [`Scheduler::insert`]: crate::scheduler::Scheduler::insert
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};

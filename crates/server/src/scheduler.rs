@@ -3,13 +3,25 @@
 //!
 //! A [`Scheduler`] owns many concurrent estimation **jobs** — each one an
 //! [`EstimationSession`] built from a declarative scenario spec — and
-//! advances them **one wave per tick** in strict round-robin order of
-//! submission. Nothing in the schedule depends on wall-clock time or thread
-//! interleaving, so the estimate stream of every job is bit-identical
+//! advances them **one chunk round per tick** (one
+//! [`lbs_core::driver::CHUNK_SAMPLES`]-sample chunk per worker thread). Each
+//! tick goes to the runnable job that has had the fewest ticks so far, ties
+//! to the earliest submission (*least attained service*), so a small job
+//! submitted behind a heavy one finishes before the heavy job runs its
+//! remaining chunks. Nothing in the schedule depends on wall-clock time or
+//! thread interleaving, so the estimate stream of every job is bit-identical
 //! regardless of how many other jobs run beside it, in which order jobs of
 //! *different* tenants arrived, or how often the driving loop paused: each
 //! session's samples draw private RNGs seeded from `(root_seed,
 //! sample_index)`, and sessions share no mutable state.
+//!
+//! A tick is split so that a server can run the chunk round without holding
+//! the scheduler: [`Scheduler::take`] checks the next job's session out,
+//! [`Lease::step`] advances it, and [`Scheduler::put_back`] returns it. While
+//! a session is out, [`Scheduler::poll`] serves the job's last snapshot and
+//! [`Scheduler::cancel`] sets a flag that settles the job when the session
+//! comes back, at its next chunk boundary. Job construction splits the same
+//! way ([`Scheduler::admit`], [`Admission::build`], [`Scheduler::insert`]).
 //!
 //! **Tenants** give the serving layer its quota model: every job charges the
 //! shared [`QueryBudget`] of its tenant, so one tenant's greedy aggregate
@@ -26,12 +38,12 @@
 //! readable — anytime by construction), and [`Scheduler::result`] returning
 //! the final [`Estimate`].
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Instant;
 
 use lbs_bench::{build_workload, CacheMode, Scale, Scenario, ScenarioContext, Workload};
-use lbs_core::{AnytimeSnapshot, Estimate, EstimationSession, SessionConfig};
+use lbs_core::{AnytimeSnapshot, Estimate, EstimationSession};
 use lbs_service::{AnswerCache, CacheStats, LbsBackend, QueryBudget};
 use serde::Serialize;
 
@@ -41,7 +53,8 @@ pub const DEFAULT_TENANT: &str = "default";
 /// Construction knobs of a [`Scheduler`].
 #[derive(Clone, Copy, Debug)]
 pub struct SchedulerConfig {
-    /// Worker threads each wave fans out to (bit-identical at any value).
+    /// Worker threads each chunk round fans out to (bit-identical at any
+    /// value).
     pub threads: usize,
     /// Default root seed for scenarios that do not pin one.
     pub seed: u64,
@@ -62,7 +75,7 @@ impl Default for SchedulerConfig {
 /// Lifecycle state of a job.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub enum JobState {
-    /// Queued or mid-run; waves are still being scheduled.
+    /// Queued or mid-run; chunk rounds are still being scheduled.
     Running,
     /// Finished with a final estimate.
     Done,
@@ -103,7 +116,7 @@ pub struct TenantStatus {
     /// Queries charged to the tenant's shared budget so far. Jobs whose
     /// scenario pins its own `query_limit` under a quota-less tenant meter
     /// privately and are not in this ledger (see
-    /// [`Scheduler::submit_workload`]).
+    /// [`Scheduler::admit`]).
     pub queries_issued: u64,
     /// Jobs ever submitted under this tenant.
     pub jobs_submitted: u64,
@@ -116,7 +129,7 @@ pub struct SchedulerStats {
     pub seed: u64,
     /// Whether smoke caps apply to every job.
     pub smoke: bool,
-    /// Worker threads per wave.
+    /// Worker threads per chunk round.
     pub threads: usize,
     /// Jobs ever submitted.
     pub submitted: u64,
@@ -170,16 +183,22 @@ struct TenantState {
     cache: Arc<AnswerCache>,
 }
 
+/// The session type every job runs.
+type Session = EstimationSession<Box<dyn LbsBackend>>;
+
 struct Job {
     tenant: String,
     scenario_id: String,
     truth: f64,
-    /// Live while the job is runnable; dropped when it settles so a
-    /// long-running server does not pin every finished job's dataset,
-    /// backend and estimator state in memory.
-    session: Option<EstimationSession<Box<dyn LbsBackend>>>,
-    /// Final snapshot, captured when the session is dropped.
-    final_snapshot: Option<AnytimeSnapshot>,
+    /// Live while the job is runnable and not checked out; dropped when it
+    /// settles so a long-running server does not pin every finished job's
+    /// dataset, backend and estimator state in memory.
+    session: Option<Session>,
+    /// The latest snapshot: taken at submission, after every tick and at
+    /// settlement. Polls read it, so they never need the session.
+    snapshot: AnytimeSnapshot,
+    /// Set by a cancel that arrived while the session was checked out.
+    cancel_requested: bool,
     state: JobState,
     result: Option<Estimate>,
     ticks: u64,
@@ -188,31 +207,82 @@ struct Job {
 }
 
 impl Job {
-    fn snapshot(&self) -> AnytimeSnapshot {
-        match (&self.session, &self.final_snapshot) {
-            (Some(session), _) => session.snapshot(),
-            (None, Some(snapshot)) => snapshot.clone(),
-            (None, None) => unreachable!("settled jobs keep their final snapshot"),
-        }
-    }
-
-    /// Settles the job into `state`, storing the final estimate and
-    /// snapshot and releasing the session (dataset, backend, history).
-    fn settle(&mut self, state: JobState) {
-        if let Some(session) = self.session.take() {
-            self.final_snapshot = Some(session.snapshot());
-            self.result = session.finalize().ok();
-        }
-        self.state = state;
+    /// Settles the job — `Cancelled`, or `Done`/`Failed` by whether the
+    /// session completed a sample — storing its final estimate and
+    /// snapshot. Hands the session (dataset, backend, history) back for the
+    /// caller to drop.
+    fn settle(&mut self, session: Session, cancelled: bool) -> Session {
+        self.snapshot = session.snapshot();
+        let result = session.finalize();
+        self.state = match &result {
+            _ if cancelled => JobState::Cancelled,
+            Ok(_) => JobState::Done,
+            Err(e) => JobState::Failed(e.to_string()),
+        };
+        self.result = result.ok();
+        session
     }
 }
 
-/// The deterministic round-robin scheduler (see the module docs).
+/// A job's session checked out of the [`Scheduler`] by
+/// [`Scheduler::take`], to be stepped without the scheduler and returned
+/// with [`Scheduler::put_back`].
+pub struct Lease {
+    id: u64,
+    session: Session,
+}
+
+impl Lease {
+    /// The id of the job the session belongs to.
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// Advances the session by one chunk round — the scheduler's quantum.
+    pub fn step(&mut self) {
+        self.session.step();
+    }
+}
+
+/// A submission admitted by [`Scheduler::admit`]: the tenant and the budget
+/// and cache handles its job will charge, resolved in admission order.
+pub struct Admission {
+    tenant: String,
+    budget: Arc<QueryBudget>,
+    cache: Option<Arc<AnswerCache>>,
+    threads: usize,
+}
+
+impl Admission {
+    /// Builds the job's backend and session. Needs no scheduler access, so
+    /// a server runs it without the lock.
+    pub fn build(self, workload: &Workload) -> Result<NewJob, String> {
+        let backend = workload.backend_with_budget_and_cache(self.budget, self.cache);
+        let session = workload.start_session(backend, workload.session_config(self.threads, 0))?;
+        Ok(NewJob {
+            tenant: self.tenant,
+            scenario_id: workload.id.clone(),
+            truth: workload.truth,
+            session,
+        })
+    }
+}
+
+/// A built job, ready for [`Scheduler::insert`].
+pub struct NewJob {
+    tenant: String,
+    scenario_id: String,
+    truth: f64,
+    session: Session,
+}
+
+/// The deterministic least-attained-service scheduler (see the module docs).
 pub struct Scheduler {
     config: SchedulerConfig,
     jobs: BTreeMap<u64, Job>,
-    /// Runnable job ids in round-robin order.
-    queue: VecDeque<u64>,
+    /// Runnable jobs that are not checked out, as `(ticks, id)`: the first
+    /// entry is the next to run.
+    runnable: BTreeSet<(u64, u64)>,
     next_id: u64,
     ticks: u64,
     tenants: BTreeMap<String, TenantState>,
@@ -229,7 +299,7 @@ impl Scheduler {
         Scheduler {
             config,
             jobs: BTreeMap::new(),
-            queue: VecDeque::new(),
+            runnable: BTreeSet::new(),
             next_id: 1,
             ticks: 0,
             tenants: BTreeMap::new(),
@@ -324,9 +394,23 @@ impl Scheduler {
         self.submit_workload(workload, tenant)
     }
 
-    /// Submits an already-built [`Workload`] (see
+    /// Submits an already-built [`Workload`]: [`Scheduler::admit`],
+    /// [`Admission::build`] and [`Scheduler::insert`] in one call (see
     /// [`Scheduler::scenario_context`] for the build-outside-the-lock
     /// pattern).
+    pub fn submit_workload(
+        &mut self,
+        workload: Workload,
+        tenant: Option<&str>,
+    ) -> Result<u64, String> {
+        let job = self.admit(&workload, tenant)?.build(&workload)?;
+        Ok(self.insert(job))
+    }
+
+    /// Admits `workload` under `tenant` (empty/None → [`DEFAULT_TENANT`]):
+    /// resolves the budget and cache handles its job will use. Building the
+    /// job ([`Admission::build`]) needs no scheduler access; registering it
+    /// ([`Scheduler::insert`]) does.
     ///
     /// Budget resolution: a tenant **quota** supersedes the scenario's own
     /// `query_limit` (the tenant-wide cap is the stronger contract); for a
@@ -341,11 +425,11 @@ impl Scheduler {
     /// whether a query is free would then depend on which tenant's job ran
     /// it first, coupling every ledger to arrival order and breaking the
     /// scheduler's arrival-order-invariance contract.
-    pub fn submit_workload(
+    pub fn admit(
         &mut self,
-        workload: Workload,
+        workload: &Workload,
         tenant: Option<&str>,
-    ) -> Result<u64, String> {
+    ) -> Result<Admission, String> {
         let tenant = match tenant {
             Some(t) if !t.is_empty() => t,
             _ => DEFAULT_TENANT,
@@ -361,12 +445,11 @@ impl Scheduler {
         if !self.tenants.contains_key(tenant) {
             self.register_tenant(tenant, None)?;
         }
-        let shared_cache = self.shared_cache.share();
-        let tenant_state = self.tenants.get_mut(tenant).expect("registered above");
+        let tenant_state = &self.tenants[tenant];
         let cache = match workload.cache_mode() {
             CacheMode::Off => None,
             CacheMode::Private => Some(tenant_state.cache.share()),
-            CacheMode::Shared => Some(shared_cache),
+            CacheMode::Shared => Some(self.shared_cache.share()),
         };
         let budget =
             if tenant_state.quota.is_none() && workload.service_config.query_limit.is_some() {
@@ -374,21 +457,32 @@ impl Scheduler {
             } else {
                 tenant_state.budget.share()
             };
-        let backend = workload.backend_with_budget_and_cache(budget, cache);
-        let cfg: SessionConfig = workload.session_config(self.config.threads, 0);
-        let session = workload.start_session(backend, cfg)?;
-        tenant_state.jobs_submitted += 1;
+        Ok(Admission {
+            tenant: tenant.to_string(),
+            budget,
+            cache,
+            threads: self.config.threads,
+        })
+    }
 
+    /// Registers a built job and returns its id (ids count up in insertion
+    /// order, which is the submission order least-attained-service ties go
+    /// by).
+    pub fn insert(&mut self, job: NewJob) -> u64 {
+        if let Some(tenant) = self.tenants.get_mut(&job.tenant) {
+            tenant.jobs_submitted += 1;
+        }
         let id = self.next_id;
         self.next_id += 1;
         self.jobs.insert(
             id,
             Job {
-                tenant: tenant.to_string(),
-                scenario_id: workload.id.clone(),
-                truth: workload.truth,
-                session: Some(session),
-                final_snapshot: None,
+                tenant: job.tenant,
+                scenario_id: job.scenario_id,
+                truth: job.truth,
+                snapshot: job.session.snapshot(),
+                session: Some(job.session),
+                cancel_requested: false,
                 state: JobState::Running,
                 result: None,
                 ticks: 0,
@@ -397,32 +491,56 @@ impl Scheduler {
                 first_estimate_ms: None,
             },
         );
-        self.queue.push_back(id);
-        Ok(id)
+        self.runnable.insert((0, id));
+        id
     }
 
-    /// Advances the next runnable job by one wave (strict round-robin) and
-    /// returns its id, or `None` when every job is settled.
-    pub fn tick(&mut self) -> Option<u64> {
-        let id = self.queue.pop_front()?;
+    /// Checks out the session of the next job to run — the runnable job
+    /// with the fewest ticks so far, ties to the earliest submission — so
+    /// the caller can step it without holding the scheduler. Returns `None`
+    /// when no job is runnable. Return the lease with
+    /// [`Scheduler::put_back`].
+    pub fn take(&mut self) -> Option<Lease> {
+        let (_, id) = self.runnable.pop_first()?;
+        let job = self.jobs.get_mut(&id).expect("runnable jobs exist");
+        let session = job.session.take().expect("runnable jobs are live");
+        Some(Lease { id, session })
+    }
+
+    /// Returns a stepped session to its job and counts the tick. The job
+    /// settles if its session finished or a cancel arrived while it was
+    /// out, and is runnable again otherwise. A settled job's session is
+    /// handed back so the caller can release its dataset, backend and
+    /// history after dropping the scheduler's lock.
+    pub fn put_back(&mut self, lease: Lease) -> Option<EstimationSession<Box<dyn LbsBackend>>> {
+        let Lease { id, mut session } = lease;
         self.ticks += 1;
-        let job = self.jobs.get_mut(&id).expect("queued jobs exist");
-        let session = job.session.as_mut().expect("queued jobs are live");
-        session.step();
+        let job = self.jobs.get_mut(&id).expect("leased jobs exist");
         job.ticks += 1;
-        if job.first_estimate_ms.is_none() && session.snapshot().samples > 0 {
+        job.snapshot = session.snapshot();
+        if job.first_estimate_ms.is_none() && job.snapshot.samples > 0 {
             job.first_estimate_ms =
                 Some(u64::try_from(job.submitted_at.elapsed().as_millis()).unwrap_or(u64::MAX));
         }
-        if session.is_finished() {
-            let state = match session.finalize() {
-                Ok(_) => JobState::Done,
-                Err(e) => JobState::Failed(e.to_string()),
-            };
-            job.settle(state);
+        if job.cancel_requested {
+            session.cancel();
+            Some(job.settle(session, true))
+        } else if session.is_finished() {
+            Some(job.settle(session, false))
         } else {
-            self.queue.push_back(id);
+            job.session = Some(session);
+            self.runnable.insert((job.ticks, id));
+            None
         }
+    }
+
+    /// Advances the next job by one chunk round (take, step, put back) and
+    /// returns its id, or `None` when every job is settled.
+    pub fn tick(&mut self) -> Option<u64> {
+        let mut lease = self.take()?;
+        lease.step();
+        let id = lease.id;
+        self.put_back(lease);
         Some(id)
     }
 
@@ -435,9 +553,9 @@ impl Scheduler {
         ticks
     }
 
-    /// `true` while at least one job is runnable.
+    /// `true` while at least one job is runnable or checked out.
     pub fn has_runnable_jobs(&self) -> bool {
-        !self.queue.is_empty()
+        self.jobs.values().any(|job| job.state == JobState::Running)
     }
 
     /// The anytime status of a job.
@@ -448,7 +566,7 @@ impl Scheduler {
             tenant: job.tenant.clone(),
             scenario_id: job.scenario_id.clone(),
             state: job.state.clone(),
-            snapshot: job.snapshot(),
+            snapshot: job.snapshot.clone(),
             ticks: job.ticks,
             time_to_first_estimate_ms: job.first_estimate_ms,
         })
@@ -468,20 +586,25 @@ impl Scheduler {
     }
 
     /// Cancels a running job. Its partial (anytime) estimate, if any sample
-    /// completed, becomes the job's result. Returns `false` for unknown or
-    /// already-settled jobs.
+    /// completed, becomes the job's result. A job whose session is checked
+    /// out settles when [`Scheduler::put_back`] returns it, so the chunk
+    /// round in flight still counts. Returns `false` for unknown,
+    /// already-settled or already-cancelled jobs.
     pub fn cancel(&mut self, id: u64) -> bool {
         let Some(job) = self.jobs.get_mut(&id) else {
             return false;
         };
-        if job.state != JobState::Running {
+        if job.state != JobState::Running || job.cancel_requested {
             return false;
         }
-        if let Some(session) = job.session.as_mut() {
-            session.cancel();
+        match job.session.take() {
+            Some(mut session) => {
+                session.cancel();
+                self.runnable.remove(&(job.ticks, id));
+                job.settle(session, true);
+            }
+            None => job.cancel_requested = true,
         }
-        job.settle(JobState::Cancelled);
-        self.queue.retain(|&queued| queued != id);
         true
     }
 
@@ -710,6 +833,93 @@ mod tests {
         assert!(status.snapshot.samples > 0, "partial samples survive");
         assert!(sched.result(id).is_some(), "anytime estimate is readable");
         // Cancelled jobs leave the run queue and cannot be cancelled twice.
+        assert!(!sched.has_runnable_jobs());
+        assert!(!sched.cancel(id));
+    }
+
+    #[test]
+    fn least_attained_service_finishes_a_late_small_job_first() {
+        let small = count_scenario("las-small", 41, 150);
+        let mut solo = Scheduler::new(SchedulerConfig::default());
+        solo.submit(&small, None).unwrap();
+        let small_ticks = solo.run_until_idle();
+        assert!(small_ticks >= 2, "the small job should need several ticks");
+
+        // The heavy job runs alone until it has as many ticks as the small
+        // job needs in total; then the small job arrives.
+        let mut sched = Scheduler::new(SchedulerConfig::default());
+        let heavy = sched
+            .submit(&count_scenario("las-heavy", 43, 100_000), None)
+            .unwrap();
+        for _ in 0..small_ticks {
+            assert_eq!(sched.tick(), Some(heavy));
+        }
+        let late = sched.submit(&small, None).unwrap();
+        for _ in 0..small_ticks {
+            assert_eq!(sched.tick(), Some(late), "the job with fewer ticks runs");
+        }
+        assert_eq!(sched.poll(late).unwrap().state, JobState::Done);
+        assert_eq!(sched.poll(heavy).unwrap().ticks, small_ticks);
+        assert_eq!(sched.tick(), Some(heavy));
+    }
+
+    #[test]
+    fn equal_tick_counts_run_in_submission_order() {
+        let mut sched = Scheduler::new(SchedulerConfig::default());
+        let ids: Vec<u64> = (0..3)
+            .map(|i| {
+                sched
+                    .submit(&count_scenario(&format!("ties-{i}"), 50 + i, 100_000), None)
+                    .unwrap()
+            })
+            .collect();
+        let order: Vec<u64> = (0..6).filter_map(|_| sched.tick()).collect();
+        assert_eq!(order, [ids.clone(), ids].concat());
+    }
+
+    #[test]
+    fn cancel_of_a_checked_out_job_settles_when_it_is_put_back() {
+        let mut sched = Scheduler::new(SchedulerConfig::default());
+        let id = sched
+            .submit(&count_scenario("lease-cancel", 17, 100_000), None)
+            .unwrap();
+        sched.tick();
+        let before = sched.poll(id).unwrap();
+        assert!(before.snapshot.samples > 0);
+
+        let mut lease = sched.take().expect("the job is runnable");
+        assert_eq!(lease.id(), id);
+        assert!(sched.take().is_none(), "a checked-out job is not runnable");
+        assert!(sched.has_runnable_jobs());
+        lease.step();
+
+        // While the session is out, polls serve the last snapshot.
+        let during = sched.poll(id).unwrap();
+        assert_eq!(during.state, JobState::Running);
+        assert_eq!(during.ticks, before.ticks);
+        assert_eq!(during.snapshot.samples, before.snapshot.samples);
+        assert_eq!(during.snapshot.queries, before.snapshot.queries);
+        assert_eq!(
+            during.snapshot.value.to_bits(),
+            before.snapshot.value.to_bits()
+        );
+
+        assert!(sched.cancel(id));
+        assert!(!sched.cancel(id), "the cancel is already pending");
+        assert_eq!(sched.poll(id).unwrap().state, JobState::Running);
+        assert!(
+            sched.put_back(lease).is_some(),
+            "a settled job's session comes back"
+        );
+
+        let status = sched.poll(id).unwrap();
+        assert_eq!(status.state, JobState::Cancelled);
+        assert!(
+            status.snapshot.samples > before.snapshot.samples,
+            "the round in flight counts"
+        );
+        let estimate = sched.result(id).expect("anytime estimate is readable");
+        assert_eq!(estimate.samples, status.snapshot.samples);
         assert!(!sched.has_runnable_jobs());
         assert!(!sched.cancel(id));
     }

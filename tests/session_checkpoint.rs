@@ -184,6 +184,132 @@ fn lnr_session_checkpoint_resume_is_bit_identical() {
     }
 }
 
+/// Steps `session` to completion by chunk rounds. With `cut = Some(k)`, the
+/// session is checkpointed after step `k`, dropped and resumed on `service`
+/// (`k` must be a step that ends strictly inside a multi-chunk wave, which
+/// is asserted). Returns the estimate and, per step, whether it ended inside
+/// a wave (its snapshot's `waves` did not move).
+fn run_by_rounds<'a>(
+    service: &'a SimulatedLbs,
+    mut session: EstimationSession<&'a SimulatedLbs>,
+    cut: Option<usize>,
+) -> (Estimate, Vec<bool>) {
+    let mut mid_wave = Vec::new();
+    while !session.is_finished() {
+        let before = session.snapshot();
+        session.step();
+        let after = session.snapshot();
+        let inside = !after.finished && after.waves == before.waves;
+        mid_wave.push(inside);
+        if cut == Some(mid_wave.len() - 1) {
+            assert!(inside, "the cut step must end inside a wave");
+            assert!(after.samples > before.samples, "the cut step ran a chunk");
+            let checkpoint = session.checkpoint();
+            drop(session);
+            session = EstimationSession::resume(service, checkpoint);
+            assert_eq!(session.snapshot().waves, after.waves);
+        }
+    }
+    (session.finalize().expect("session completes"), mid_wave)
+}
+
+/// Checkpoint/resume cuts strictly inside multi-chunk waves: the first such
+/// step and two seeded random ones. The resumed run must match the
+/// uninterrupted one bit for bit — estimate, trace, engine counters and
+/// service ledger — and both must match a run stepped by whole waves.
+fn check_mid_wave_cuts<'a>(
+    d: &Dataset,
+    config: ServiceConfig,
+    services: &'a mut Vec<SimulatedLbs>,
+    fresh: impl Fn(&'a SimulatedLbs) -> EstimationSession<&'a SimulatedLbs>,
+) {
+    let runs = 5;
+    services.extend((0..runs).map(|_| SimulatedLbs::new(d.clone(), config.clone())));
+    let services: &'a [SimulatedLbs] = services;
+
+    let mut by_waves = fresh(&services[0]);
+    while !by_waves.is_finished() {
+        by_waves.run_wave();
+    }
+    let by_waves = by_waves.finalize().unwrap();
+
+    let (baseline, mid_wave) = run_by_rounds(&services[1], fresh(&services[1]), None);
+    assert_eq!(
+        fingerprint(&by_waves),
+        fingerprint(&baseline),
+        "rounds vs waves"
+    );
+    assert_eq!(by_waves.trace, baseline.trace);
+    assert_eq!(services[0].queries_issued(), services[1].queries_issued());
+
+    let inside: Vec<usize> = (0..mid_wave.len()).filter(|&k| mid_wave[k]).collect();
+    assert!(inside.len() >= 2, "need steps that end inside a wave");
+    let mut rng = StdRng::seed_from_u64(101);
+    let cuts = [
+        inside[0],
+        inside[rng.gen_range(0..inside.len())],
+        inside[rng.gen_range(0..inside.len())],
+    ];
+    for (service, cut) in services[2..].iter().zip(cuts) {
+        let (resumed, _) = run_by_rounds(service, fresh(service), Some(cut));
+        assert_eq!(
+            fingerprint(&baseline),
+            fingerprint(&resumed),
+            "cut after step {cut}"
+        );
+        assert_eq!(baseline.trace, resumed.trace, "trace, cut after step {cut}");
+        assert_eq!(
+            baseline.engine, resumed.engine,
+            "engine, cut after step {cut}"
+        );
+        assert_eq!(
+            services[1].queries_issued(),
+            service.queries_issued(),
+            "service ledger, cut after step {cut}"
+        );
+    }
+}
+
+#[test]
+fn lr_checkpoint_inside_a_wave_carries_pending_forks() {
+    // Adaptive waves: the opening wave has two chunks, later ones many, so
+    // a cut after a chunk round leaves forked histories waiting to be
+    // absorbed at the wave's end.
+    let d = dataset(120, 37);
+    for threads in thread_counts() {
+        let mut services = Vec::new();
+        check_mid_wave_cuts(&d, ServiceConfig::lr_lbs(10), &mut services, |svc| {
+            EstimationSession::Lr(Box::new(LrSession::new(
+                svc,
+                &region(),
+                &Aggregate::count_all(),
+                LrLbsAggConfig::default(),
+                lbs::core::lr::History::new(),
+                SessionConfig::new(900, 2016).with_threads(threads),
+            )))
+        });
+    }
+}
+
+#[test]
+fn lnr_checkpoint_inside_a_wave_is_bit_identical() {
+    let d = dataset(40, 39);
+    let config = LnrLbsAggConfig {
+        delta: 0.3,
+        ..LnrLbsAggConfig::default()
+    };
+    let mut services = Vec::new();
+    check_mid_wave_cuts(&d, ServiceConfig::lnr_lbs(8), &mut services, |svc| {
+        EstimationSession::Lnr(LnrSession::new(
+            svc,
+            &region(),
+            &Aggregate::count_all(),
+            config.clone(),
+            SessionConfig::new(600, 13).with_wave_size(24),
+        ))
+    });
+}
+
 #[test]
 fn type_erased_sessions_checkpoint_through_the_enum() {
     // The scheduler-facing wrapper: checkpoint an EstimationSession mid-run,
@@ -224,17 +350,20 @@ fn type_erased_sessions_checkpoint_through_the_enum() {
 #[test]
 fn anytime_snapshots_converge_and_stop_rules_fire() {
     let d = dataset(100, 43);
+    let fresh = |service| {
+        LrSession::new(
+            service,
+            &region(),
+            &Aggregate::count_all(),
+            LrLbsAggConfig::default(),
+            lbs::core::lr::History::new(),
+            SessionConfig::new(100_000, 3)
+                .with_wave_size(64)
+                .with_target_ci_halfwidth(60.0),
+        )
+    };
     let service = SimulatedLbs::new(d.clone(), ServiceConfig::lr_lbs(10));
-    let mut session = LrSession::new(
-        &service,
-        &region(),
-        &Aggregate::count_all(),
-        LrLbsAggConfig::default(),
-        lbs::core::lr::History::new(),
-        SessionConfig::new(100_000, 3)
-            .with_wave_size(16)
-            .with_target_ci_halfwidth(60.0),
-    );
+    let mut session = fresh(&service);
     let mut last_queries = 0;
     while !session.is_finished() {
         session.step();
@@ -255,6 +384,19 @@ fn anytime_snapshots_converge_and_stop_rules_fire() {
     let estimate = session.finalize().unwrap();
     assert_eq!(estimate.value.to_bits(), snap.value.to_bits());
     assert_eq!(estimate.samples, snap.samples);
+    // The rule fires at wave boundaries only — never between the eight
+    // chunk rounds of a 64-sample wave — so stepping by whole waves stops
+    // at the same sample.
+    assert_eq!(snap.samples % 64, 0, "stopped inside a wave");
+    let service = SimulatedLbs::new(d, ServiceConfig::lr_lbs(10));
+    let mut by_waves = fresh(&service);
+    while !by_waves.is_finished() {
+        by_waves.run_wave();
+    }
+    let by_waves = by_waves.snapshot();
+    assert_eq!(by_waves.stop, snap.stop);
+    assert_eq!(by_waves.samples, snap.samples);
+    assert_eq!(by_waves.value.to_bits(), snap.value.to_bits());
 }
 
 #[test]
