@@ -194,10 +194,14 @@ pub fn explore_cell<S: LbsBackend + ?Sized, R: Rng>(
     } else {
         Vec::new()
     };
-    let nearest = if config.use_fast_init {
-        history.nearest_distance(&site)
-    } else {
+    // A non-empty seed search starts with `neighbors_of(site, 1)`, so its
+    // first seed already is the nearest known tuple.
+    let nearest = if !config.use_fast_init {
         None
+    } else if config.use_history && config.history_neighbor_limit > 0 {
+        seeds.first().map(|p| p.distance(&site))
+    } else {
+        history.nearest_distance(&site)
     };
 
     if config.use_cell_cache {

@@ -5,10 +5,17 @@
 //! Chebyshev rings around the query's bucket; the search stops once the
 //! closest possible distance of the next unvisited ring exceeds the current
 //! k-th best distance, which makes the result exact.
+//!
+//! A ring costs its perimeter, not the square it encloses, and the search
+//! keeps only the `k` best candidates in a bounded heap: in the sparse parts
+//! of a clustered database the k-th neighbour can lie dozens of rings out.
+
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use lbs_geom::{Point, Rect};
 
-use crate::{sort_neighbors, Neighbor, SpatialIndex};
+use crate::{cmp_neighbors, sort_neighbors, Neighbor, SpatialIndex};
 
 /// Uniform bucket-grid index.
 #[derive(Clone, Debug)]
@@ -77,26 +84,54 @@ impl GridIndex {
     }
 
     /// Visits the bucket indices on the Chebyshev ring at distance `ring`
-    /// from `(cx, cy)`, calling `f` for each existing bucket.
+    /// from `(cx, cy)`, calling `f` once for each existing bucket: the top
+    /// and bottom rows in full, then the left and right columns between
+    /// them, each clipped to the grid.
     fn for_ring_buckets<F: FnMut(&[usize])>(&self, cx: usize, cy: usize, ring: usize, mut f: F) {
-        let r = ring as isize;
-        for dy in -r..=r {
-            for dx in -r..=r {
-                if dx.abs().max(dy.abs()) != r {
-                    continue;
-                }
-                let nx = cx as isize + dx;
-                let ny = cy as isize + dy;
-                if nx < 0 || ny < 0 || nx >= self.cols as isize || ny >= self.rows as isize {
-                    continue;
-                }
-                f(&self.buckets[ny as usize * self.cols + nx as usize]);
+        let bucket = |x: usize, y: usize| self.buckets[y * self.cols + x].as_slice();
+        if ring == 0 {
+            f(bucket(cx, cy));
+            return;
+        }
+        let x_lo = cx.saturating_sub(ring);
+        let x_hi = (cx + ring).min(self.cols - 1);
+        let y_lo = cy.saturating_sub(ring - 1);
+        let y_hi = (cy + ring - 1).min(self.rows - 1);
+        for y in [cy.checked_sub(ring), Some(cy + ring)] {
+            if let Some(y) = y.filter(|&y| y < self.rows) {
+                (x_lo..=x_hi).for_each(|x| f(bucket(x, y)));
+            }
+        }
+        for x in [cx.checked_sub(ring), Some(cx + ring)] {
+            if let Some(x) = x.filter(|&x| x < self.cols) {
+                (y_lo..=y_hi).for_each(|y| f(bucket(x, y)));
             }
         }
     }
 
     fn max_ring(&self) -> usize {
         self.cols.max(self.rows)
+    }
+}
+
+/// A kNN candidate ordered canonically (distance, then id), so a max-heap
+/// of them keeps the worst of the best `k` on top.
+struct Ranked(Neighbor);
+
+impl PartialEq for Ranked {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl Eq for Ranked {}
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> Ordering {
+        cmp_neighbors(&self.0, &other.0)
     }
 }
 
@@ -113,15 +148,25 @@ impl SpatialIndex for GridIndex {
         let (cx, cy) = self.bucket_of(&clamped);
         let min_cell = self.cell_w.min(self.cell_h);
 
-        let mut candidates: Vec<Neighbor> = Vec::new();
+        // The best `k` candidates so far, the worst of them on top. The
+        // answer is the first `k` of every visited point in canonical order,
+        // whatever order the buckets are visited in.
+        let mut best: BinaryHeap<Ranked> = BinaryHeap::with_capacity(k.min(self.points.len()) + 1);
         let mut ring = 0usize;
         loop {
             self.for_ring_buckets(cx, cy, ring, |bucket| {
                 for &id in bucket {
-                    candidates.push(Neighbor {
+                    let candidate = Ranked(Neighbor {
                         id,
                         distance: query.distance(&self.points[id]),
                     });
+                    if best.len() < k {
+                        best.push(candidate);
+                    } else if let Some(mut worst) = best.peek_mut() {
+                        if candidate < *worst {
+                            *worst = candidate;
+                        }
+                    }
                 }
             });
             // Can we stop? Only when we already have k candidates and the
@@ -129,9 +174,8 @@ impl SpatialIndex for GridIndex {
             // best. A point in ring `r+1` is at least `r * min_cell` away
             // from the query's bucket (conservative bound that also covers a
             // query outside the bounding box via the clamp above).
-            if candidates.len() >= k {
-                sort_neighbors(&mut candidates);
-                let kth = candidates[k - 1].distance;
+            if best.len() >= k {
+                let kth = best.peek().map_or(f64::INFINITY, |worst| worst.0.distance);
                 let next_ring_min_dist =
                     (ring as f64) * min_cell - query.distance(&clamped) - min_cell;
                 if next_ring_min_dist > kth {
@@ -143,9 +187,7 @@ impl SpatialIndex for GridIndex {
                 break;
             }
         }
-        sort_neighbors(&mut candidates);
-        candidates.truncate(k);
-        candidates
+        best.into_sorted_vec().into_iter().map(|r| r.0).collect()
     }
 
     fn within_radius(&self, query: &Point, radius: f64) -> Vec<Neighbor> {
@@ -183,6 +225,8 @@ impl SpatialIndex for GridIndex {
 mod tests {
     use super::*;
     use crate::BruteForceIndex;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn matches_bruteforce_on_grid_layout() {
@@ -244,6 +288,28 @@ mod tests {
             res.iter().map(|n| n.id).collect::<Vec<_>>(),
             vec![0, 1, 2, 3]
         );
+    }
+
+    #[test]
+    fn rings_visit_each_bucket_at_their_distance_once() {
+        let points = crate::tests::clustered(3);
+        let grid = GridIndex::build_with_resolution(&points, 9);
+        let mut rng = StdRng::seed_from_u64(4);
+        for _ in 0..20 {
+            let (cx, cy) = (rng.gen_range(0..grid.cols), rng.gen_range(0..grid.rows));
+            for ring in 0..=grid.max_ring() + 1 {
+                let mut got = Vec::new();
+                grid.for_ring_buckets(cx, cy, ring, |bucket| got.extend_from_slice(bucket));
+                got.sort_unstable();
+                let want: Vec<usize> = (0..points.len())
+                    .filter(|&id| {
+                        let (x, y) = grid.bucket_of(&points[id]);
+                        x.abs_diff(cx).max(y.abs_diff(cy)) == ring
+                    })
+                    .collect();
+                assert_eq!(got, want, "ring {ring} around ({cx}, {cy})");
+            }
+        }
     }
 
     #[test]

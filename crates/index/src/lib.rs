@@ -84,7 +84,12 @@ pub trait SpatialIndex: Send + Sync {
 /// sneaks in (a NaN-poisoned comparator would make the sort
 /// implementation-defined instead of deterministic).
 pub(crate) fn sort_neighbors(neighbors: &mut [Neighbor]) {
-    neighbors.sort_by(|a, b| a.distance.total_cmp(&b.distance).then(a.id.cmp(&b.id)));
+    neighbors.sort_by(cmp_neighbors);
+}
+
+/// The canonical order [`sort_neighbors`] sorts by.
+pub(crate) fn cmp_neighbors(a: &Neighbor, b: &Neighbor) -> std::cmp::Ordering {
+    a.distance.total_cmp(&b.distance).then(a.id.cmp(&b.id))
 }
 
 #[cfg(test)]
@@ -98,6 +103,34 @@ mod tests {
         (0..n)
             .map(|_| Point::new(rng.gen_range(0.0..1000.0), rng.gen_range(0.0..1000.0)))
             .collect()
+    }
+
+    /// Points clustered like a POI table: dense towns, a sparse
+    /// countryside, exact duplicates, and a few outliers far from the rest.
+    pub(crate) fn clustered(seed: u64) -> Vec<Point> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut points = Vec::new();
+        for _ in 0..6 {
+            let c = Point::new(rng.gen_range(0.0..1000.0), rng.gen_range(0.0..1000.0));
+            for _ in 0..300 {
+                points.push(Point::new(
+                    c.x + rng.gen_range(-8.0..8.0),
+                    c.y + rng.gen_range(-8.0..8.0),
+                ));
+            }
+        }
+        for _ in 0..40 {
+            points.push(Point::new(
+                rng.gen_range(0.0..1000.0),
+                rng.gen_range(0.0..1000.0),
+            ));
+        }
+        for i in 0..20 {
+            points.push(points[i * 37]);
+        }
+        points.push(Point::new(-400.0, 1200.0));
+        points.push(Point::new(1500.0, -90.0));
+        points
     }
 
     fn backends(points: &[Point]) -> Vec<(&'static str, Box<dyn SpatialIndex>)> {
@@ -266,6 +299,36 @@ mod tests {
                 expected.iter().map(|n| n.id).collect::<Vec<_>>(),
                 "{name}"
             );
+        }
+
+        // A POI-like layout: queries in the sparse countryside reach many
+        // grid rings out, towns put hundreds of points in one bucket, and
+        // duplicates tie on distance.
+        let points = clustered(5);
+        let oracle = BruteForceIndex::build(&points);
+        let mut rng = StdRng::seed_from_u64(6);
+        let queries: Vec<Point> = (0..400)
+            .map(|i| {
+                if i % 4 == 0 {
+                    points[rng.gen_range(0..points.len())]
+                } else {
+                    Point::new(rng.gen_range(-600.0..1700.0), rng.gen_range(-600.0..1700.0))
+                }
+            })
+            .collect();
+        let bits = |found: Vec<Neighbor>| -> Vec<(usize, u64)> {
+            found.iter().map(|n| (n.id, n.distance.to_bits())).collect()
+        };
+        for (name, idx) in backends(&points) {
+            for q in &queries {
+                for k in [1, 2, 10, 40, points.len() + 5] {
+                    assert_eq!(
+                        bits(idx.k_nearest(q, k)),
+                        bits(oracle.k_nearest(q, k)),
+                        "{name}: k {k} at {q:?}"
+                    );
+                }
+            }
         }
     }
 

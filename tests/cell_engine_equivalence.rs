@@ -11,12 +11,14 @@
 //! * byte-identity of the `k = 1` path against the original
 //!   `lbs_geom::top_k_cell` oracle (same clip sequence, certified clips
 //!   provably the identity);
+//! * nesting of the top-1/2/3 areas within the adaptive rule's rounding
+//!   margin, the premise of its λ_1 shortcut;
 //! * byte-identity of whole LR-LBS-AGG estimates with pruning and the cell
 //!   cache enabled versus disabled, serial and parallel — the acceptance
 //!   gate of the engine: speed must not move a single bit of any estimate.
 
 use lbs::core::driver::SampleDriver;
-use lbs::core::{Aggregate, LrLbsAgg, LrLbsAggConfig};
+use lbs::core::{Aggregate, HSelection, LrLbsAgg, LrLbsAggConfig};
 use lbs::data::ScenarioBuilder;
 use lbs::geom::{
     level_region, level_region_pruned, level_region_pruned_with, top_k_cell, top_k_cell_pruned,
@@ -147,6 +149,41 @@ fn property_concave_area_matches_legacy_slab_oracle() {
                 "{context}: boundary area {} vs slab {}",
                 engine.area,
                 oracle.area
+            );
+        }
+    }
+}
+
+#[test]
+fn property_lambda_bounds_nest_across_levels() {
+    // The premise of the adaptive rule's λ_1 shortcut: top-h cells over one
+    // neighbour list nest (V_1 ⊆ V_2 ⊆ V_3), so the computed bounds may only
+    // break λ_1 ≤ λ_2 ≤ λ_3 by rounding, which the shortcut's margin covers.
+    // Checked on the same corpus, collinear and duplicate-distance ties
+    // included, near the origin and far from it.
+    let mut rng = StdRng::seed_from_u64(0x00a5_7ed1);
+    let far = Point::new(1e6, -2e6);
+    for case in 0..80 {
+        let site = Point::new(rng.gen_range(5.0..95.0), rng.gen_range(5.0..95.0));
+        let candidates = random_candidates(&mut rng, &site);
+        // Shifting rounds, so the far copy is re-sorted from its own site.
+        let mut shifted: Vec<Point> = candidates.iter().map(|p| *p + far).collect();
+        sort_by_distance(&(site + far), &mut shifted);
+        let far_box = Rect::from_bounds(far.x, far.y, far.x + 100.0, far.y + 100.0);
+        for (site, candidates, region) in
+            [(site, candidates, bbox()), (site + far, shifted, far_box)]
+        {
+            let margin = HSelection::lambda_margin(&region);
+            let lambdas: Vec<f64> = (1..=3)
+                .map(|k| {
+                    top_k_cell_pruned(&site, &candidates, k, &region, true)
+                        .0
+                        .area
+                })
+                .collect();
+            assert!(
+                lambdas[0] <= lambdas[1] + margin && lambdas[1] <= lambdas[2] + margin,
+                "case {case}: λ = {lambdas:?} do not nest within {margin}"
             );
         }
     }
