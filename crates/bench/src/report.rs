@@ -696,9 +696,7 @@ pub fn run_speedup_probe(scale: Scale, seed: u64, threads: usize) -> SpeedupRepo
 /// records the result in `BENCH_repro.json`; [`gate_against`] fails the
 /// gate unless the variance ratio stays below 1.0.
 pub fn run_stratified_probe(scale: Scale, seed: u64, threads: usize) -> StratifiedBenchReport {
-    use lbs_core::{
-        AllocationPolicy, LrSession, SessionConfig, StratifiedSession, StratumEstimator,
-    };
+    use lbs_core::{AllocationPolicy, EstimatorKind, LrSession, SessionConfig, StratifiedSession};
     use lbs_data::{DensityGrid, Stratifier};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -716,14 +714,7 @@ pub fn run_stratified_probe(scale: Scale, seed: u64, threads: usize) -> Stratifi
 
     let run_flat = || {
         let cfg = SessionConfig::new(budget, seed);
-        let mut session = LrSession::new(
-            &service,
-            &region,
-            &agg,
-            LrLbsAggConfig::default(),
-            lbs_core::lr::History::new(),
-            cfg,
-        );
+        let mut session = LrSession::new(&service, &region, &agg, LrLbsAggConfig::default(), cfg);
         while !session.is_finished() {
             session.run_wave();
         }
@@ -737,7 +728,7 @@ pub fn run_stratified_probe(scale: Scale, seed: u64, threads: usize) -> Stratifi
             &service,
             &region,
             &agg,
-            StratumEstimator::Lr(LrLbsAggConfig::default()),
+            EstimatorKind::Lr(LrLbsAggConfig::default()),
             strata.clone(),
             AllocationPolicy::Neyman,
             cfg,

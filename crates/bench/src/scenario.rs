@@ -32,9 +32,8 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Error as SerdeError, Value};
 
 use lbs_core::{
-    Aggregate, AllocationPolicy, Estimate, EstimateError, EstimationSession, LnrLbsAggConfig,
-    LnrSession, LrLbsAggConfig, LrSession, NnoConfig, NnoSession, Selection, SessionConfig,
-    StratifiedSession, StratumEstimator,
+    Aggregate, AllocationPolicy, Estimate, EstimateError, EstimationSession, EstimatorKind,
+    LnrLbsAggConfig, LrLbsAggConfig, NnoConfig, Selection, SessionConfig, StratifiedSession,
 };
 use lbs_data::{Dataset, DensityGrid, ScenarioBuilder, Stratifier, Tuple};
 use lbs_geom::Rect;
@@ -1057,7 +1056,7 @@ impl Workload {
         }
     }
 
-    /// The wave-mode [`SessionConfig`] of one repetition: batch-equivalent
+    /// The [`SessionConfig`] of one repetition: batch-equivalent
     /// defaults with the spec's `[session]` overrides applied.
     pub fn session_config(&self, threads: usize, rep: usize) -> SessionConfig {
         let cfg = SessionConfig::new(self.budget, self.rep_seed(rep)).with_threads(threads);
@@ -1115,47 +1114,25 @@ impl Workload {
                 Some("neyman") => AllocationPolicy::Neyman,
                 _ => AllocationPolicy::Proportional,
             };
-            let estimator = match kind {
-                EstimatorKind::Lr(config) => StratumEstimator::Lr(config),
-                EstimatorKind::Lnr(config) => StratumEstimator::Lnr(config),
-                EstimatorKind::Nno(config) => StratumEstimator::Nno(config),
-            };
             return Ok(EstimationSession::Stratified(Box::new(
                 StratifiedSession::new(
                     backend,
                     &self.region,
                     &self.aggregate,
-                    estimator,
+                    kind,
                     strata,
                     allocation,
                     cfg,
                 ),
             )));
         }
-        match kind {
-            EstimatorKind::Lr(config) => Ok(EstimationSession::Lr(Box::new(LrSession::new(
-                backend,
-                &self.region,
-                &self.aggregate,
-                config,
-                lbs_core::lr::History::new(),
-                cfg,
-            )))),
-            EstimatorKind::Lnr(config) => Ok(EstimationSession::Lnr(LnrSession::new(
-                backend,
-                &self.region,
-                &self.aggregate,
-                config,
-                cfg,
-            ))),
-            EstimatorKind::Nno(config) => Ok(EstimationSession::Nno(NnoSession::new(
-                backend,
-                &self.region,
-                &self.aggregate,
-                config,
-                cfg,
-            ))),
-        }
+        Ok(EstimationSession::new(
+            backend,
+            &self.region,
+            &self.aggregate,
+            kind,
+            cfg,
+        ))
     }
 }
 
@@ -1585,14 +1562,6 @@ fn build_aggregate(id: &str, spec: &AggregateSpec) -> Result<Aggregate, String> 
             "{id}: unknown aggregate kind `{other}` (count, sum, avg)"
         )),
     }
-}
-
-/// The estimator an [`EstimatorSpec`] resolves to, with its fully-built
-/// configuration.
-enum EstimatorKind {
-    Lr(LrLbsAggConfig),
-    Lnr(LnrLbsAggConfig),
-    Nno(NnoConfig),
 }
 
 /// Resolves and validates the estimator configuration of a spec (shared by

@@ -1,16 +1,18 @@
 //! LR-LBS-NNO: nearest-neighbour-oracle sampling with Monte-Carlo
 //! Voronoi-area estimation.
 
+use rand::rngs::StdRng;
 use rand::Rng;
 
 use lbs_geom::{sort_by_distance, top_k_cell_pruned, Point, Rect};
-use lbs_service::{LbsBackend, QueryError};
+use lbs_service::{LbsBackend, QueryError, ReturnMode};
 
 use crate::agg::Aggregate;
 use crate::driver::SampleDriver;
-use crate::engine_stats::SharedEngineCounters;
+use crate::engine_stats::EngineReport;
 use crate::estimate::{Estimate, EstimateError};
-use crate::session::{NnoSession, SessionConfig};
+use crate::sampling::QuerySampler;
+use crate::session::{run_batch, SampleEstimator, SessionConfig};
 
 /// Configuration of the LR-LBS-NNO baseline.
 #[derive(Clone, Debug)]
@@ -22,8 +24,6 @@ pub struct NnoConfig {
     /// Maximum number of radius doublings while searching for a covering
     /// square.
     pub max_doublings: usize,
-    /// Record a trace point every this many samples (0 disables the trace).
-    pub trace_every: u64,
     /// Answer Monte-Carlo probe points geometrically when possible: a point
     /// outside the top-1 cell of the sampled tuple with respect to the
     /// tuples already returned this sample (a superset of the true cell)
@@ -31,13 +31,6 @@ pub struct NnoConfig {
     /// be skipped without changing the hit/miss outcome. The paper\'s NNO
     /// locality argument, applied to the cell engine.
     pub use_engine_prefilter: bool,
-    /// Restricts the *query-location draw* to a sub-rectangle of the region
-    /// (a stratum). Every probability stays full-region — the covering
-    /// square, the Monte-Carlo area and the `region.area()/area` inverse
-    /// probability are unchanged — which is what the stratified combiner's
-    /// base-design weights require. `None` (the default) draws from the
-    /// whole region and is bit-identical to the pre-stratification code.
-    pub draw_region: Option<Rect>,
 }
 
 impl Default for NnoConfig {
@@ -46,9 +39,7 @@ impl Default for NnoConfig {
             mc_points: 12,
             initial_radius_fraction: 0.002,
             max_doublings: 12,
-            trace_every: 1,
             use_engine_prefilter: true,
-            draw_region: None,
         }
     }
 }
@@ -66,7 +57,9 @@ impl NnoBaseline {
     }
 
     /// Estimates `aggregate` over `region` through the LR interface
-    /// `service`, spending at most `query_budget` kNN queries.
+    /// `service`, spending at most `query_budget` kNN queries: a one-thread
+    /// session with one-sample waves seeded by `rng.next_u64()`, so the
+    /// budget is checked after every sample.
     pub fn estimate<S: LbsBackend + ?Sized, R: Rng>(
         &mut self,
         service: &S,
@@ -75,17 +68,15 @@ impl NnoBaseline {
         query_budget: u64,
         rng: &mut R,
     ) -> Result<Estimate, EstimateError> {
-        let mut session = NnoSession::new_serial(
+        let cfg = SessionConfig::new(query_budget, rng.next_u64()).with_wave_size(1);
+        run_batch(
             service,
             region,
             aggregate,
             self.config.clone(),
-            query_budget,
-        );
-        while !session.is_finished() {
-            session.step_serial(rng);
-        }
-        session.finalize()
+            &mut EngineReport::default(),
+            cfg,
+        )
     }
 
     /// Estimates `aggregate` over `region` in parallel, fanning samples out
@@ -105,29 +96,43 @@ impl NnoBaseline {
         driver: &SampleDriver,
     ) -> Result<Estimate, EstimateError> {
         let cfg = SessionConfig::new(query_budget, root_seed).with_threads(driver.threads());
-        let mut session = NnoSession::new(service, region, aggregate, self.config.clone(), cfg);
-        while !session.is_finished() {
-            session.run_wave();
-        }
-        session.finalize()
+        run_batch(
+            service,
+            region,
+            aggregate,
+            self.config.clone(),
+            &mut EngineReport::default(),
+            cfg,
+        )
+    }
+}
+
+impl SampleEstimator for NnoConfig {
+    type State = EngineReport;
+
+    fn design<S: LbsBackend + ?Sized>(&self, service: &S, region: &Rect) -> QuerySampler {
+        assert_eq!(
+            service.config().return_mode,
+            ReturnMode::LocationReturned,
+            "LR-LBS-NNO requires a location-returned interface"
+        );
+        QuerySampler::uniform(*region)
     }
 
     /// Runs one independent baseline sample and returns its
-    /// `(numerator, denominator)` contribution.
-    ///
-    /// Shared loop body of [`NnoBaseline::estimate`] and
-    /// [`NnoBaseline::estimate_parallel`]; an `Err` means the sample hit the
-    /// service's hard query limit.
-    pub(crate) fn sample_once<S: LbsBackend + ?Sized, R: Rng>(
-        config: &NnoConfig,
+    /// `(numerator, denominator)` contribution. The covering square, the
+    /// Monte-Carlo area and the inverse probability stay full-region even
+    /// when `sampler` draws from a stratum.
+    fn sample_once<S: LbsBackend + ?Sized>(
+        &self,
         service: &S,
+        sampler: &QuerySampler,
         region: &Rect,
         aggregate: &Aggregate,
-        counters: &SharedEngineCounters,
-        rng: &mut R,
+        engine: &mut EngineReport,
+        rng: &mut StdRng,
     ) -> Result<(f64, f64), QueryError> {
-        let draw = config.draw_region.unwrap_or(*region);
-        let q = draw.at_fraction(rng.gen(), rng.gen());
+        let q = sampler.sample(rng);
         let resp = service.query(&q)?;
         let Some(top) = resp.top().cloned() else {
             return Ok((0.0, 0.0));
@@ -140,7 +145,7 @@ impl NnoBaseline {
         let mut known: Vec<Point> = resp.results.iter().filter_map(|r| r.location).collect();
 
         // Step 1: find a square that (heuristically) covers the cell.
-        let mut radius = (region.diagonal() * config.initial_radius_fraction)
+        let mut radius = (region.diagonal() * self.initial_radius_fraction)
             .max(q.distance(&site))
             .max(1e-6);
         let mut doublings = 0;
@@ -159,7 +164,7 @@ impl NnoBaseline {
                 }
                 known.extend(r.results.iter().filter_map(|t| t.location));
             }
-            if all_escaped || doublings >= config.max_doublings {
+            if all_escaped || doublings >= self.max_doublings {
                 break;
             }
             radius *= 2.0;
@@ -174,7 +179,7 @@ impl NnoBaseline {
         // seen so far is a superset of its true Voronoi cell: a probe point
         // outside it provably has a different nearest neighbour, so its
         // service query can be skipped without changing the outcome.
-        let superset_cell = if config.use_engine_prefilter {
+        let superset_cell = if self.use_engine_prefilter {
             sort_by_distance(&site, &mut known);
             // The doubling rounds largely re-return the same tuples; exact
             // duplicates sort adjacent, and dropping them costs nothing
@@ -182,17 +187,17 @@ impl NnoBaseline {
             // while keeping the clip counters honest.
             known.dedup();
             let (cell, build) = top_k_cell_pruned(&site, &known, 1, &square, true);
-            counters.record_build(&build);
+            engine.record_build(&build);
             cell.convex
         } else {
             None
         };
         let mut hits = 0usize;
-        for _ in 0..config.mc_points {
+        for _ in 0..self.mc_points {
             let p = square.at_fraction(rng.gen(), rng.gen());
             if let Some(cell) = &superset_cell {
                 if !cell.contains(&p) {
-                    counters.record_mc_certified();
+                    engine.mc_certified += 1;
                     continue;
                 }
             }
@@ -203,13 +208,25 @@ impl NnoBaseline {
         }
         // Continuity correction: a zero-hit estimate would blow the
         // contribution up to infinity.
-        let fraction = (hits.max(1) as f64) / config.mc_points as f64;
+        let fraction = (hits.max(1) as f64) / self.mc_points as f64;
         let area = fraction * square.area();
         let inverse_p = region.area() / area;
 
         let num = aggregate.numerator(&top, Some(&site)).unwrap_or(0.0);
         let den = aggregate.denominator(&top, Some(&site)).unwrap_or(0.0);
         Ok((num * inverse_p, den * inverse_p))
+    }
+
+    fn fork(_master: &EngineReport) -> EngineReport {
+        EngineReport::default()
+    }
+
+    fn absorb(master: &mut EngineReport, fork: &EngineReport) {
+        master.add(fork);
+    }
+
+    fn engine(engine: &EngineReport) -> EngineReport {
+        *engine
     }
 }
 

@@ -40,9 +40,10 @@
 //! The one thing that cannot be made deterministic is a *hard* service
 //! limit ([`lbs_service::QueryBudget::limit`]): which concurrent query hits
 //! the wall depends on scheduling. When a sample aborts this way the driver
-//! discards that sample and every later-indexed one from the wave, mirroring
-//! the serial estimators, but run-to-run determinism is only guaranteed for
-//! services without a hard limit (or with one that is never reached).
+//! discards that sample and every later-indexed one from the wave, so the
+//! kept samples are a prefix of the index order, but run-to-run determinism
+//! is only guaranteed for services without a hard limit (or with one that is
+//! never reached).
 //!
 //! ```
 //! use lbs_core::driver::SampleDriver;
@@ -325,8 +326,7 @@ impl SampleDriver {
     ///
     /// * `query_budget` — soft budget; the driver stops scheduling new waves
     ///   once the completed samples have spent it (the wave in flight is
-    ///   allowed to finish, so the actual cost can exceed the budget, exactly
-    ///   like the serial estimators' in-flight sample).
+    ///   allowed to finish, so the actual cost can exceed the budget).
     /// * `root_seed` — root of the per-sample seed derivation.
     /// * `is_ratio` — whether trace points report `num/den` instead of the
     ///   numerator mean.
@@ -605,10 +605,10 @@ impl SampleDriver {
 
         let mut results = results.into_inner().unwrap();
         results.sort_by_key(|c| c.chunk);
-        // A hard-limit abort invalidates every later chunk: the serial
-        // estimators stop at the first failed sample, and keeping
-        // later-indexed survivors would make the sample set depend on
-        // scheduling more than it has to.
+        // A hard-limit abort invalidates every later chunk: one thread stops
+        // at the first failed sample, and keeping later-indexed survivors
+        // would make the sample set depend on scheduling more than it has
+        // to.
         if let Some(first_aborted) = results.iter().position(|c| c.aborted) {
             results.truncate(first_aborted + 1);
         }

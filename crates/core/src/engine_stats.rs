@@ -8,8 +8,6 @@
 //! guarantees of the estimators. `repro` surfaces them per experiment in
 //! `BENCH_repro.json` and as a one-line summary in its console output.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use serde::{Deserialize, Serialize};
 
 /// Aggregated cell-engine counters for one estimation run.
@@ -24,10 +22,6 @@ pub struct EngineReport {
     pub pruned: u64,
     /// Cell-cache lookups that replayed a stored exploration.
     pub cache_hits: u64,
-    /// Subset of `cache_hits` admitted by the prefix certificate: the stored
-    /// seed list was a proper prefix of the current one and every extra seed
-    /// was certified too far to have changed the stored exploration.
-    pub cache_prefix_hits: u64,
     /// Cell-cache lookups that fell through to a fresh exploration.
     pub cache_misses: u64,
     /// Misses because no exploration of the site was stored at any `h`.
@@ -39,8 +33,6 @@ pub struct EngineReport {
     pub cache_miss_stale: u64,
     /// Adaptive-h volume-bound (λ_h) cache hits.
     pub lambda_hits: u64,
-    /// Subset of `lambda_hits` admitted by the prefix certificate.
-    pub lambda_prefix_hits: u64,
     /// Adaptive-h volume-bound (λ_h) cache misses.
     pub lambda_misses: u64,
     /// Queries re-issued while replaying a cached exploration (kept so the
@@ -58,13 +50,11 @@ impl EngineReport {
         self.clips += other.clips;
         self.pruned += other.pruned;
         self.cache_hits += other.cache_hits;
-        self.cache_prefix_hits += other.cache_prefix_hits;
         self.cache_misses += other.cache_misses;
         self.cache_miss_new_site += other.cache_miss_new_site;
         self.cache_miss_other_h += other.cache_miss_other_h;
         self.cache_miss_stale += other.cache_miss_stale;
         self.lambda_hits += other.lambda_hits;
-        self.lambda_prefix_hits += other.lambda_prefix_hits;
         self.lambda_misses += other.lambda_misses;
         self.replayed_queries += other.replayed_queries;
         self.mc_certified += other.mc_certified;
@@ -78,9 +68,6 @@ impl EngineReport {
             clips: self.clips.saturating_sub(earlier.clips),
             pruned: self.pruned.saturating_sub(earlier.pruned),
             cache_hits: self.cache_hits.saturating_sub(earlier.cache_hits),
-            cache_prefix_hits: self
-                .cache_prefix_hits
-                .saturating_sub(earlier.cache_prefix_hits),
             cache_misses: self.cache_misses.saturating_sub(earlier.cache_misses),
             cache_miss_new_site: self
                 .cache_miss_new_site
@@ -92,9 +79,6 @@ impl EngineReport {
                 .cache_miss_stale
                 .saturating_sub(earlier.cache_miss_stale),
             lambda_hits: self.lambda_hits.saturating_sub(earlier.lambda_hits),
-            lambda_prefix_hits: self
-                .lambda_prefix_hits
-                .saturating_sub(earlier.lambda_prefix_hits),
             lambda_misses: self.lambda_misses.saturating_sub(earlier.lambda_misses),
             replayed_queries: self
                 .replayed_queries
@@ -128,69 +112,6 @@ impl EngineReport {
     }
 }
 
-/// Thread-safe counter sink for estimators whose samples carry no shared
-/// state (LNR, NNO). Counter sums are order-independent, so concurrent
-/// accumulation cannot perturb the deterministic estimates.
-#[derive(Debug, Default)]
-pub struct SharedEngineCounters {
-    cells_built: AtomicU64,
-    clips: AtomicU64,
-    pruned: AtomicU64,
-    mc_certified: AtomicU64,
-}
-
-impl SharedEngineCounters {
-    /// A zeroed sink.
-    pub fn new() -> Self {
-        SharedEngineCounters::default()
-    }
-
-    /// A sink pre-loaded from a snapshot — how a checkpointed session's
-    /// counters are reconstructed on resume (only the build counters and
-    /// `mc_certified` survive a [`SharedEngineCounters::report`] round
-    /// trip, which is exactly what these sinks track).
-    pub fn from_report(report: &EngineReport) -> Self {
-        let sink = SharedEngineCounters::new();
-        sink.add_report(report);
-        sink
-    }
-
-    /// Absorbs the counters of one geometric construction.
-    pub fn record_build(&self, stats: &lbs_geom::CellBuildStats) {
-        self.cells_built.fetch_add(1, Ordering::Relaxed);
-        self.clips
-            .fetch_add(stats.incorporated as u64, Ordering::Relaxed);
-        self.pruned
-            .fetch_add(stats.pruned as u64, Ordering::Relaxed);
-    }
-
-    /// Counts one geometrically certified Monte-Carlo miss.
-    pub fn record_mc_certified(&self) {
-        self.mc_certified.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Absorbs an already-aggregated report (build counters only).
-    pub fn add_report(&self, report: &EngineReport) {
-        self.cells_built
-            .fetch_add(report.cells_built, Ordering::Relaxed);
-        self.clips.fetch_add(report.clips, Ordering::Relaxed);
-        self.pruned.fetch_add(report.pruned, Ordering::Relaxed);
-        self.mc_certified
-            .fetch_add(report.mc_certified, Ordering::Relaxed);
-    }
-
-    /// Snapshot as a plain report.
-    pub fn report(&self) -> EngineReport {
-        EngineReport {
-            cells_built: self.cells_built.load(Ordering::Relaxed),
-            clips: self.clips.load(Ordering::Relaxed),
-            pruned: self.pruned.load(Ordering::Relaxed),
-            mc_certified: self.mc_certified.load(Ordering::Relaxed),
-            ..EngineReport::default()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,13 +123,11 @@ mod tests {
             clips: 10,
             pruned: 20,
             cache_hits: 1,
-            cache_prefix_hits: 1,
             cache_misses: 2,
             cache_miss_new_site: 1,
             cache_miss_other_h: 1,
             cache_miss_stale: 0,
             lambda_hits: 4,
-            lambda_prefix_hits: 2,
             lambda_misses: 5,
             replayed_queries: 6,
             mc_certified: 7,
@@ -232,22 +151,5 @@ mod tests {
         assert!((r.cache_hit_rate().unwrap() - 0.75).abs() < 1e-12);
         assert!((r.mean_clips_per_cell().unwrap() - 4.5).abs() < 1e-12);
         assert!((r.pruned_fraction().unwrap() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn shared_counters_snapshot() {
-        let sink = SharedEngineCounters::new();
-        sink.record_build(&lbs_geom::CellBuildStats {
-            candidates: 10,
-            incorporated: 4,
-            pruned: 6,
-            security_radius: 1.0,
-        });
-        sink.record_mc_certified();
-        let report = sink.report();
-        assert_eq!(report.cells_built, 1);
-        assert_eq!(report.clips, 4);
-        assert_eq!(report.pruned, 6);
-        assert_eq!(report.mc_certified, 1);
     }
 }

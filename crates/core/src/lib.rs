@@ -46,17 +46,14 @@ pub mod stratified;
 pub use agg::{AggFunction, Aggregate, Selection};
 pub use baseline::{NnoBaseline, NnoConfig};
 pub use driver::{DriverOutcome, Quantum, SampleDriver, SampleOutcome, WaveState};
-pub use engine_stats::{EngineReport, SharedEngineCounters};
+pub use engine_stats::EngineReport;
 pub use estimate::{Estimate, EstimateError, TracePoint};
 pub use lnr::{LnrLbsAgg, LnrLbsAggConfig, LocatedTuple};
 pub use lr::{HSelection, LrLbsAgg, LrLbsAggConfig};
 pub use sampling::QuerySampler;
 pub use session::{
-    AnytimeSnapshot, EstimationSession, LnrSession, LrSession, NnoSession, SessionCheckpoint,
-    SessionConfig, StopReason,
+    AnytimeSnapshot, EstimationSession, EstimatorKind, LnrSession, LrSession, NnoSession,
+    SampleEstimator, Session, SessionCheckpoint, SessionConfig, SessionState, StopReason,
 };
 pub use stats::RunningStats;
-pub use stratified::{
-    AllocationPolicy, StratifiedSession, StratifiedSessionState, StratumCheckpoint,
-    StratumEstimator,
-};
+pub use stratified::{AllocationPolicy, StratifiedSession, StratifiedSessionState};

@@ -8,6 +8,7 @@
 //! at most the edge error, so the estimate carries a bias bounded by the
 //! paper's Theorem 2 — arbitrarily small for a logarithmic extra query cost.
 
+use rand::rngs::StdRng;
 use rand::Rng;
 
 use lbs_geom::{ClipScratch, ConvexPolygon, Rect};
@@ -15,10 +16,10 @@ use lbs_service::{LbsBackend, QueryError, ReturnMode};
 
 use crate::agg::Aggregate;
 use crate::driver::SampleDriver;
-use crate::engine_stats::SharedEngineCounters;
+use crate::engine_stats::EngineReport;
 use crate::estimate::{Estimate, EstimateError};
 use crate::sampling::QuerySampler;
-use crate::session::{LnrSession, SessionConfig};
+use crate::session::{run_batch, SampleEstimator, SessionConfig};
 
 use super::binary_search::RankOracle;
 use super::cell::{explore_cell_with, LnrExploreConfig};
@@ -41,8 +42,6 @@ pub struct LnrLbsAggConfig {
     /// the recovered cell requires a convex cell, so this is honoured only
     /// when `h = 1`.
     pub weighted_sampler: Option<lbs_data::DensityGrid>,
-    /// Record a trace point every this many samples (0 disables the trace).
-    pub trace_every: u64,
     /// Safety cap on edges per cell.
     pub max_edges: usize,
 }
@@ -54,8 +53,18 @@ impl Default for LnrLbsAggConfig {
             delta: 0.05,
             delta_prime: 0.5,
             weighted_sampler: None,
-            trace_every: 1,
             max_edges: 40,
+        }
+    }
+}
+
+impl LnrLbsAggConfig {
+    fn explore_config(&self) -> LnrExploreConfig {
+        LnrExploreConfig {
+            delta: self.delta,
+            delta_prime: self.delta_prime,
+            max_edges: self.max_edges,
+            max_rounds: 24,
         }
     }
 }
@@ -72,17 +81,10 @@ impl LnrLbsAgg {
         LnrLbsAgg { config }
     }
 
-    pub(crate) fn explore_config(&self) -> LnrExploreConfig {
-        LnrExploreConfig {
-            delta: self.config.delta,
-            delta_prime: self.config.delta_prime,
-            max_edges: self.config.max_edges,
-            max_rounds: 24,
-        }
-    }
-
     /// Estimates `aggregate` over `region` through the rank-only interface
-    /// `service`, spending at most `query_budget` kNN queries.
+    /// `service`, spending at most `query_budget` kNN queries: a one-thread
+    /// session with one-sample waves seeded by `rng.next_u64()`, so the
+    /// budget is checked after every sample.
     ///
     /// Also works against LR interfaces (ignoring the returned locations),
     /// which is how the paper's localization experiment treats Google Places
@@ -95,17 +97,15 @@ impl LnrLbsAgg {
         query_budget: u64,
         rng: &mut R,
     ) -> Result<Estimate, EstimateError> {
-        let mut session = LnrSession::new_serial(
+        let cfg = SessionConfig::new(query_budget, rng.next_u64()).with_wave_size(1);
+        run_batch(
             service,
             region,
             aggregate,
             self.config.clone(),
-            query_budget,
-        );
-        while !session.is_finished() {
-            session.step_serial(rng);
-        }
-        session.finalize()
+            &mut EngineReport::default(),
+            cfg,
+        )
     }
 
     /// Estimates `aggregate` over `region` in parallel, fanning samples out
@@ -126,31 +126,40 @@ impl LnrLbsAgg {
         driver: &SampleDriver,
     ) -> Result<Estimate, EstimateError> {
         let cfg = SessionConfig::new(query_budget, root_seed).with_threads(driver.threads());
-        let mut session = LnrSession::new(service, region, aggregate, self.config.clone(), cfg);
-        while !session.is_finished() {
-            session.run_wave();
+        run_batch(
+            service,
+            region,
+            aggregate,
+            self.config.clone(),
+            &mut EngineReport::default(),
+            cfg,
+        )
+    }
+}
+
+impl SampleEstimator for LnrLbsAggConfig {
+    type State = EngineReport;
+
+    fn design<S: LbsBackend + ?Sized>(&self, _service: &S, region: &Rect) -> QuerySampler {
+        match (&self.weighted_sampler, self.h) {
+            (Some(grid), 1) => QuerySampler::weighted(grid.clone()),
+            _ => QuerySampler::uniform(*region),
         }
-        session.finalize()
     }
 
     /// Runs one independent sample through the rank-only machinery and
     /// returns its Horvitz–Thompson `(numerator, denominator)` contribution.
-    ///
-    /// Shared loop body of [`LnrLbsAgg::estimate`] and
-    /// [`LnrLbsAgg::estimate_parallel`]; an `Err` means the sample hit the
-    /// service's hard query limit.
-    #[allow(clippy::too_many_arguments)] // shared loop body; mirrors Algorithm 6's state
-    pub(crate) fn sample_once<S: LbsBackend + ?Sized, R: Rng>(
-        explore_config: &LnrExploreConfig,
-        sampler: &QuerySampler,
-        h: usize,
-        needs_location: bool,
+    fn sample_once<S: LbsBackend + ?Sized>(
+        &self,
         service: &S,
+        sampler: &QuerySampler,
         region: &Rect,
         aggregate: &Aggregate,
-        counters: &SharedEngineCounters,
-        rng: &mut R,
+        engine: &mut EngineReport,
+        rng: &mut StdRng,
     ) -> Result<(f64, f64), QueryError> {
+        let h = self.h.clamp(1, service.config().k.max(1));
+        let explore_config = self.explore_config();
         let q = sampler.sample(rng);
         let resp = service.query(&q)?;
 
@@ -174,10 +183,10 @@ impl LnrLbsAgg {
                 returned.id,
                 q,
                 region,
-                explore_config,
+                &explore_config,
                 &mut scratch,
             )?;
-            counters.add_report(&cell.engine);
+            engine.add(&cell.engine);
 
             // Full-region base-design probability even under stratified
             // sampling (see the LR estimator: the stratified combiner's
@@ -200,7 +209,7 @@ impl LnrLbsAgg {
 
             // Location-dependent selection conditions need an inferred
             // position (§4.3); infer it lazily and only when required.
-            let location = if needs_location {
+            let location = if aggregate.needs_location() {
                 let mut locate_oracle = RankOracle::new(service, 1);
                 infer_position(
                     &mut locate_oracle,
@@ -224,6 +233,18 @@ impl LnrLbsAgg {
         }
 
         Ok((num_contrib, den_contrib))
+    }
+
+    fn fork(_master: &EngineReport) -> EngineReport {
+        EngineReport::default()
+    }
+
+    fn absorb(master: &mut EngineReport, fork: &EngineReport) {
+        master.add(fork);
+    }
+
+    fn engine(engine: &EngineReport) -> EngineReport {
+        *engine
     }
 }
 

@@ -205,7 +205,7 @@ pub fn explore_cell<S: LbsBackend + ?Sized, R: Rng>(
     };
 
     if config.use_cell_cache {
-        if let Some(entry) = history.cell_cache_get(site_id, &site, h, region, &seeds, nearest) {
+        if let Some(entry) = history.cell_cache_get(site_id, h, region, &seeds, nearest) {
             // Replay: issue the recorded queries so the service ledger, the
             // budget accounting and the history side-effects stay
             // bit-identical to a fresh exploration, then hand back the
@@ -257,9 +257,6 @@ pub fn explore_cell<S: LbsBackend + ?Sized, R: Rng>(
     let mut prev_volume = f64::INFINITY;
     let mut rounds = 0usize;
     let mut fakes: Vec<Point> = Vec::new();
-    // Largest site-to-vertex distance any round exhibits: the certificate
-    // radius stored with the finished entry (see the history module docs).
-    let mut cert_radius = 0.0_f64;
     // Per-round workspaces, hoisted so the round loop reuses their capacity.
     let mut others: Vec<Point> = Vec::new();
     let mut pending: Vec<Point> = Vec::new();
@@ -294,9 +291,6 @@ pub fn explore_cell<S: LbsBackend + ?Sized, R: Rng>(
         // deterministic regardless of the map iteration above.
         sort_by_distance(&site, &mut others);
         let cell = history.build_topk_cell(&site, &others, h, region, config.use_pruned_cells);
-        for v in cell.vertices.iter() {
-            cert_radius = cert_radius.max(v.distance(&site));
-        }
 
         // Which vertices still need testing?
         pending.clear();
@@ -320,7 +314,6 @@ pub fn explore_cell<S: LbsBackend + ?Sized, R: Rng>(
                         region: *region,
                         seeds,
                         nearest,
-                        cert_radius,
                         cell: cell.clone(),
                         queries: query_log,
                         rounds,

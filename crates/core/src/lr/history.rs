@@ -21,29 +21,12 @@
 //! fingerprint matches can replay the stored queries (keeping the service
 //! ledger, the history side-effects and therefore every downstream estimate
 //! bit-identical to an uncached run) while skipping all of the geometry.
-//! A fingerprint mismatch — the history learned a nearer tuple since the
-//! entry was stored — simply falls through to a fresh exploration, which is
-//! how entries are invalidated; [`History::version`] is bumped on every
+//! Only an exact match hits. A mismatch — the history learned a tuple that
+//! joined the seed list since the entry was stored — simply falls through
+//! to a fresh exploration, which is how entries are invalidated; [`History::version`] is bumped on every
 //! genuinely new tuple as a cheap change signal for diagnostics and tests.
-//!
-//! ## The prefix certificate
-//!
-//! Requiring the seed list to match *exactly* turned out to discard almost
-//! every stored entry: the history keeps learning tuples, so by the time a
-//! sample lands on a cached site the neighbour list has usually grown — even
-//! though every newly learned tuple is so far away that it could not have
-//! touched the stored cell. The cache therefore also accepts a **certified
-//! prefix** match: the stored seeds must be a proper prefix of the current
-//! (ascending-distance) list, and every extra seed must lie farther than
-//! `2 · cert_radius + CERT_SLACK` from the site, where
-//! [`CellCacheEntry::cert_radius`] is the largest site-to-vertex distance any
-//! round of the stored exploration ever exhibited. That is exactly the
-//! security-radius certificate of [`lbs_geom::cell_engine`]: a fresh
-//! exploration seeded with those extra tuples would prune (or identity-clip)
-//! each of them in every round, reproducing the stored queries, cell and
-//! history side-effects bit for bit. Misses are classified into
-//! new-site / other-h / stale counters so `repro` can report *why* the cache
-//! missed, not just how often.
+//! Misses are classified into new-site / other-h / stale counters so `repro`
+//! can report *why* the cache missed, not just how often.
 //!
 //! The history also owns the [`ClipScratch`] arena threaded through every
 //! cell construction performed on its behalf ([`History::build_topk_cell`]),
@@ -73,12 +56,13 @@
 //! [`crate::driver::SampleDriver`] thread counts, which rules out the
 //! randomised iteration order of `HashMap`.
 //!
-//! For the parallel sample driver, [`History::fork`] hands each worker block
-//! a private snapshot and [`History::absorb`] merges what the block learned
-//! back into the master copy in a deterministic order. A fork keeps a delta
-//! log of the tuple ids, cell volumes and cache keys it added, and `absorb`
-//! replays only that log, so its cost follows what the block learned rather
-//! than what the master already knew. Cache entries ride along: forks share
+//! The history is the chunk state of an LR session
+//! ([`crate::session::SampleEstimator::State`]): [`History::fork`] hands
+//! each driver chunk a private snapshot and [`History::absorb`] merges what
+//! the chunk learned back into the master copy in a deterministic order. A
+//! fork keeps a delta log of the tuple ids, cell volumes and cache keys it
+//! added, and `absorb` replays only that log, so its cost follows what the
+//! chunk learned rather than what the master already knew. Cache entries ride along: forks share
 //! the stored entries cheaply through `Arc`, and absorbed entries overwrite
 //! in chunk order. Which entries a fork happens to hold can vary with the
 //! thread count, but that can never change an estimate — a hit replays
@@ -89,7 +73,7 @@ use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::sync::Arc;
 
 use lbs_data::TupleId;
-use lbs_geom::{top_k_cell_pruned_with, ClipScratch, Point, Rect, TopKCell, CERT_SLACK};
+use lbs_geom::{top_k_cell_pruned_with, ClipScratch, Point, Rect, TopKCell};
 
 use crate::engine_stats::EngineReport;
 use crate::stats::RunningStats;
@@ -106,11 +90,6 @@ pub struct CellCacheEntry {
     /// Nearest known distance at exploration start (drives the §3.2.1
     /// fast-initialization box; `None` when fast-init was disabled).
     pub nearest: Option<f64>,
-    /// Largest site-to-vertex distance any round of the exploration
-    /// exhibited. Seeds farther than `2 · cert_radius + CERT_SLACK` are
-    /// certified unable to alter the exploration (see the module docs), which
-    /// is what lets a grown seed list still hit this entry.
-    pub cert_radius: f64,
     /// The exact top-h cell the exploration produced.
     pub cell: TopKCell,
     /// Every vertex query the exploration issued, in order. Replayed on a
@@ -125,9 +104,6 @@ pub struct CellCacheEntry {
 struct LambdaEntry {
     region: Rect,
     seeds: Vec<Point>,
-    /// Largest site-to-vertex distance of the λ cell (the bound is a single
-    /// pruned construction, so one round's radius is the whole certificate).
-    cert_radius: f64,
     area: f64,
 }
 
@@ -231,23 +207,6 @@ pub struct History {
     /// derived `History::clone` (checkpointing) stays cheap and forks stay
     /// bit-identical to fresh-allocation runs.
     scratch: ClipScratch,
-}
-
-/// `true` when `stored` is a non-empty proper prefix of `current` and every
-/// extra seed is certified too far from `site` to have participated in the
-/// stored construction: farther than `2 · cert_radius + CERT_SLACK`, the same
-/// security-radius test [`lbs_geom::cell_engine`] prunes candidates with.
-///
-/// The empty stored list is excluded because an exploration that started with
-/// *no* seeds enabled the §3.2.1 fake-corner round, which a seeded
-/// exploration skips — their query logs genuinely differ.
-fn prefix_certified(site: &Point, stored: &[Point], current: &[Point], cert_radius: f64) -> bool {
-    if stored.is_empty() || current.len() <= stored.len() || current[..stored.len()] != stored[..] {
-        return false;
-    }
-    current[stored.len()..]
-        .iter()
-        .all(|p| p.distance(site) > 2.0 * cert_radius + CERT_SLACK)
 }
 
 impl History {
@@ -370,29 +329,20 @@ impl History {
     }
 
     /// Looks up a cached exact exploration of `(site_id, h)` whose seed
-    /// fingerprint matches the current history state — exactly, or up to
-    /// certified-far extra seeds (see [`prefix_certified`]) — counting the
+    /// fingerprint matches the current history state exactly, counting the
     /// hit or miss and, on a miss, its cause.
     pub(crate) fn cell_cache_get(
         &mut self,
         site_id: TupleId,
-        site: &Point,
         h: usize,
         region: &Rect,
         seeds: &[Point],
         nearest: Option<f64>,
     ) -> Option<Arc<CellCacheEntry>> {
         if let Some(entry) = self.cells.get(&(site_id, h)) {
-            if entry.region == *region && entry.nearest == nearest {
-                if entry.seeds == seeds {
-                    self.stats.cache_hits += 1;
-                    return Some(Arc::clone(entry));
-                }
-                if prefix_certified(site, &entry.seeds, seeds, entry.cert_radius) {
-                    self.stats.cache_hits += 1;
-                    self.stats.cache_prefix_hits += 1;
-                    return Some(Arc::clone(entry));
-                }
+            if entry.region == *region && entry.nearest == nearest && entry.seeds == seeds {
+                self.stats.cache_hits += 1;
+                return Some(Arc::clone(entry));
             }
             self.stats.cache_misses += 1;
             self.stats.cache_miss_stale += 1;
@@ -422,41 +372,32 @@ impl History {
         self.cells.len()
     }
 
-    /// Looks up a cached λ_h volume bound — exact seed match or certified
-    /// prefix, like [`History::cell_cache_get`] — counting the hit or miss.
+    /// Looks up a cached λ_h volume bound computed from exactly `seeds`,
+    /// counting the hit or miss.
     pub(crate) fn lambda_cache_get(
         &mut self,
         site_id: TupleId,
-        site: &Point,
         h: usize,
         region: &Rect,
         seeds: &[Point],
     ) -> Option<f64> {
         if let Some(entry) = self.lambdas.get(&(site_id, h)) {
-            if entry.region == *region {
-                if entry.seeds == seeds {
-                    self.stats.lambda_hits += 1;
-                    return Some(entry.area);
-                }
-                if prefix_certified(site, &entry.seeds, seeds, entry.cert_radius) {
-                    self.stats.lambda_hits += 1;
-                    self.stats.lambda_prefix_hits += 1;
-                    return Some(entry.area);
-                }
+            if entry.region == *region && entry.seeds == seeds {
+                self.stats.lambda_hits += 1;
+                return Some(entry.area);
             }
         }
         self.stats.lambda_misses += 1;
         None
     }
 
-    /// Stores a λ_h volume bound with its certificate radius.
+    /// Stores a λ_h volume bound with the seeds it was computed from.
     pub(crate) fn lambda_cache_put(
         &mut self,
         site_id: TupleId,
         h: usize,
         region: Rect,
         seeds: Vec<Point>,
-        cert_radius: f64,
         area: f64,
     ) {
         self.lambdas.insert(
@@ -464,7 +405,6 @@ impl History {
             Arc::new(LambdaEntry {
                 region,
                 seeds,
-                cert_radius,
                 area,
             }),
         );
@@ -748,7 +688,6 @@ mod tests {
         LambdaEntry {
             region: Rect::from_bounds(0.0, 0.0, 10.0, 10.0),
             seeds: vec![Point::new(1.0, 1.0)],
-            cert_radius: 1.0,
             area,
         }
     }
@@ -759,7 +698,6 @@ mod tests {
             region,
             seeds: vec![],
             nearest: None,
-            cert_radius: 1.0,
             cell: dummy_cell(&region),
             queries: vec![],
             rounds,
@@ -786,14 +724,7 @@ mod tests {
         a.record_cell_volume(5.0);
         a.cell_cache_put(10, 2, cell_entry(2));
         a.cell_cache_put(1, 1, cell_entry(3));
-        a.lambda_cache_put(
-            10,
-            3,
-            Rect::from_bounds(0.0, 0.0, 1.0, 1.0),
-            vec![],
-            1.0,
-            7.0,
-        );
+        a.lambda_cache_put(10, 3, Rect::from_bounds(0.0, 0.0, 1.0, 1.0), vec![], 7.0);
         let mut b = master.fork();
         b.insert(11, Point::new(11.0, 2.0));
         b.insert(12, Point::new(12.0, 3.0));
@@ -806,14 +737,7 @@ mod tests {
         leaf.record_cell_volume(11.0);
         leaf.cell_cache_put(13, 1, cell_entry(5));
         leaf.cell_cache_put(13, 1, cell_entry(6));
-        leaf.lambda_cache_put(
-            3,
-            2,
-            Rect::from_bounds(0.0, 0.0, 1.0, 1.0),
-            vec![],
-            1.0,
-            9.0,
-        );
+        leaf.lambda_cache_put(3, 2, Rect::from_bounds(0.0, 0.0, 1.0, 1.0), vec![], 9.0);
 
         let mut b_delta = b.clone();
         b_delta.absorb(&leaf);
@@ -960,7 +884,6 @@ mod tests {
     #[test]
     fn cell_cache_hits_only_on_matching_fingerprint() {
         let region = Rect::from_bounds(0.0, 0.0, 10.0, 10.0);
-        let site = Point::new(5.0, 5.0);
         let mut h = History::new();
         let seeds = vec![Point::new(7.0, 5.0)];
         h.cell_cache_put(
@@ -970,7 +893,6 @@ mod tests {
                 region,
                 seeds: seeds.clone(),
                 nearest: Some(2.0),
-                cert_radius: 8.0,
                 cell: dummy_cell(&region),
                 queries: vec![Point::new(1.0, 1.0)],
                 rounds: 2,
@@ -979,22 +901,16 @@ mod tests {
         assert_eq!(h.cached_cells(), 1);
         // Exact fingerprint → hit.
         assert!(h
-            .cell_cache_get(42, &site, 1, &region, &seeds, Some(2.0))
+            .cell_cache_get(42, 1, &region, &seeds, Some(2.0))
             .is_some());
         // Any deviation → miss (stale entries are bypassed, not returned).
         assert!(h
-            .cell_cache_get(42, &site, 2, &region, &seeds, Some(2.0))
+            .cell_cache_get(42, 2, &region, &seeds, Some(2.0))
             .is_none());
-        assert!(h
-            .cell_cache_get(42, &site, 1, &region, &[], Some(2.0))
-            .is_none());
-        assert!(h
-            .cell_cache_get(42, &site, 1, &region, &seeds, None)
-            .is_none());
+        assert!(h.cell_cache_get(42, 1, &region, &[], Some(2.0)).is_none());
+        assert!(h.cell_cache_get(42, 1, &region, &seeds, None).is_none());
         let other = Rect::from_bounds(0.0, 0.0, 5.0, 5.0);
-        assert!(h
-            .cell_cache_get(42, &site, 1, &other, &seeds, Some(2.0))
-            .is_none());
+        assert!(h.cell_cache_get(42, 1, &other, &seeds, Some(2.0)).is_none());
         let report = h.engine_report();
         assert_eq!(report.cache_hits, 1);
         assert_eq!(report.cache_misses, 4);
@@ -1003,15 +919,13 @@ mod tests {
         assert_eq!(report.cache_miss_other_h, 1);
         assert_eq!(report.cache_miss_stale, 3);
         assert_eq!(report.cache_miss_new_site, 0);
-        assert_eq!(report.cache_prefix_hits, 0);
     }
 
     #[test]
     fn cell_cache_miss_causes_distinguish_new_sites() {
         let region = Rect::from_bounds(0.0, 0.0, 10.0, 10.0);
-        let site = Point::new(5.0, 5.0);
         let mut h = History::new();
-        assert!(h.cell_cache_get(99, &site, 1, &region, &[], None).is_none());
+        assert!(h.cell_cache_get(99, 1, &region, &[], None).is_none());
         let report = h.engine_report();
         assert_eq!(report.cache_misses, 1);
         assert_eq!(report.cache_miss_new_site, 1);
@@ -1019,54 +933,10 @@ mod tests {
     }
 
     #[test]
-    fn cell_cache_accepts_certified_prefix_extensions() {
-        let region = Rect::from_bounds(0.0, 0.0, 100.0, 100.0);
-        let site = Point::new(5.0, 5.0);
-        let mut h = History::new();
-        let seeds = vec![Point::new(7.0, 5.0), Point::new(5.0, 9.0)];
-        h.cell_cache_put(
-            42,
-            1,
-            CellCacheEntry {
-                region,
-                seeds: seeds.clone(),
-                nearest: Some(2.0),
-                cert_radius: 10.0,
-                cell: dummy_cell(&region),
-                queries: vec![],
-                rounds: 1,
-            },
-        );
-        // Extra seed at distance 60 > 2 · 10 + slack: certified, still a hit.
-        let mut grown = seeds.clone();
-        grown.push(Point::new(65.0, 5.0));
-        assert!(h
-            .cell_cache_get(42, &site, 1, &region, &grown, Some(2.0))
-            .is_some());
-        // Extra seed at distance 15 < 2 · 10: could have touched the stored
-        // exploration — stale miss.
-        let mut near = seeds.clone();
-        near.push(Point::new(20.0, 5.0));
-        assert!(h
-            .cell_cache_get(42, &site, 1, &region, &near, Some(2.0))
-            .is_none());
-        // Reordered (not a prefix) → stale miss even if far.
-        let reordered = vec![seeds[1], seeds[0], Point::new(65.0, 5.0)];
-        assert!(h
-            .cell_cache_get(42, &site, 1, &region, &reordered, Some(2.0))
-            .is_none());
-        let report = h.engine_report();
-        assert_eq!(report.cache_hits, 1);
-        assert_eq!(report.cache_prefix_hits, 1);
-        assert_eq!(report.cache_miss_stale, 2);
-    }
-
-    #[test]
     fn cell_cache_empty_seed_entries_require_exact_match() {
         // An exploration that started with no seeds ran the fake-corner
         // round; a seeded lookup must never replay it, however far the seeds.
         let region = Rect::from_bounds(0.0, 0.0, 100.0, 100.0);
-        let site = Point::new(5.0, 5.0);
         let mut h = History::new();
         h.cell_cache_put(
             42,
@@ -1075,40 +945,32 @@ mod tests {
                 region,
                 seeds: vec![],
                 nearest: None,
-                cert_radius: 1.0,
                 cell: dummy_cell(&region),
                 queries: vec![],
                 rounds: 1,
             },
         );
         let far = vec![Point::new(95.0, 95.0)];
-        assert!(h
-            .cell_cache_get(42, &site, 1, &region, &far, None)
-            .is_none());
-        assert!(h.cell_cache_get(42, &site, 1, &region, &[], None).is_some());
+        assert!(h.cell_cache_get(42, 1, &region, &far, None).is_none());
+        assert!(h.cell_cache_get(42, 1, &region, &[], None).is_some());
     }
 
     #[test]
     fn lambda_cache_round_trip() {
         let region = Rect::from_bounds(0.0, 0.0, 10.0, 10.0);
-        let site = Point::new(0.0, 0.0);
         let mut h = History::new();
         let seeds = vec![Point::new(1.0, 1.0), Point::new(2.0, 2.0)];
-        assert!(h.lambda_cache_get(7, &site, 2, &region, &seeds).is_none());
-        h.lambda_cache_put(7, 2, region, seeds.clone(), 3.0, 12.5);
-        assert_eq!(h.lambda_cache_get(7, &site, 2, &region, &seeds), Some(12.5));
-        // Seed shrink invalidates (stored is not a prefix of current).
-        assert!(h
-            .lambda_cache_get(7, &site, 2, &region, &seeds[..1])
-            .is_none());
-        // Certified-far extension still hits.
+        assert!(h.lambda_cache_get(7, 2, &region, &seeds).is_none());
+        h.lambda_cache_put(7, 2, region, seeds.clone(), 12.5);
+        assert_eq!(h.lambda_cache_get(7, 2, &region, &seeds), Some(12.5));
+        // Any other seed list invalidates: shrunk or grown, however far.
+        assert!(h.lambda_cache_get(7, 2, &region, &seeds[..1]).is_none());
         let mut grown = seeds.clone();
-        grown.push(Point::new(9.0, 9.0)); // distance ~12.7 > 2 · 3 + slack
-        assert_eq!(h.lambda_cache_get(7, &site, 2, &region, &grown), Some(12.5));
+        grown.push(Point::new(9.0, 9.0));
+        assert!(h.lambda_cache_get(7, 2, &region, &grown).is_none());
         let report = h.engine_report();
-        assert_eq!(report.lambda_hits, 2);
-        assert_eq!(report.lambda_prefix_hits, 1);
-        assert_eq!(report.lambda_misses, 2);
+        assert_eq!(report.lambda_hits, 1);
+        assert_eq!(report.lambda_misses, 3);
     }
 
     #[test]
@@ -1122,7 +984,6 @@ mod tests {
                 region,
                 seeds: vec![],
                 nearest: None,
-                cert_radius: 1.0,
                 cell: dummy_cell(&region),
                 queries: vec![],
                 rounds: 1,
@@ -1140,7 +1001,6 @@ mod tests {
                 region,
                 seeds: vec![],
                 nearest: None,
-                cert_radius: 1.0,
                 cell: dummy_cell(&region),
                 queries: vec![],
                 rounds: 1,

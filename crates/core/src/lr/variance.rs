@@ -170,32 +170,16 @@ fn scan_levels(
 ) -> usize {
     for h in (2..=k).rev() {
         let cached = if use_lambda_cache {
-            history.lambda_cache_get(site_id, site, h, region, neighbors)
+            history.lambda_cache_get(site_id, h, region, neighbors)
         } else {
             None
         };
         let lambda_h = match cached {
             Some(area) => area,
             None => {
-                // prune = true is what makes the λ prefix certificate sound:
-                // a certified-far extra seed is cut off by the security
-                // radius before it can participate, so the bound — and its
-                // bits — match a recomputation over the grown list.
                 let cell = history.build_topk_cell(site, neighbors, h, region, true);
                 if use_lambda_cache {
-                    let cert_radius = cell
-                        .vertices
-                        .iter()
-                        .map(|v| v.distance(site))
-                        .fold(0.0_f64, f64::max);
-                    history.lambda_cache_put(
-                        site_id,
-                        h,
-                        *region,
-                        neighbors.to_vec(),
-                        cert_radius,
-                        cell.area,
-                    );
+                    history.lambda_cache_put(site_id, h, *region, neighbors.to_vec(), cell.area);
                 }
                 cell.area
             }

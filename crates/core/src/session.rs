@@ -1,78 +1,76 @@
 //! Anytime estimation sessions: resumable, checkpointable estimator runs.
 //!
-//! The paper's estimators are anytime by construction — every extra sample
-//! tightens the Horvitz–Thompson estimate — but the batch facades
-//! (`estimate` / `estimate_parallel`) only surface the final answer. An
-//! [`EstimationSession`] exposes the run itself: it owns the per-sample
-//! seeded RNG stream, advances under explicit control of its caller, and can
-//! report the current estimate, running confidence interval, queries spent
-//! and [`EngineReport`] after any step. [`EstimationSession::step`] advances
-//! **one chunk round** (one [`crate::driver::CHUNK_SAMPLES`]-sample chunk
-//! per worker thread) and [`EstimationSession::run_wave`] the rest of the
-//! current wave; both give the same bits. This is the substrate of the
-//! `lbs-server` multi-tenant scheduler, which interleaves chunk rounds of
-//! many concurrent jobs over shared query budgets.
+//! The paper's three estimators share one outer loop: draw a query location,
+//! turn one kNN answer into a Horvitz–Thompson contribution, and average.
+//! [`SampleEstimator`] is that per-sample body, and [`Session`] is the loop,
+//! written once for all of them: it owns the per-sample seeded RNG stream,
+//! the [`crate::driver::SampleDriver`] waves, the stop rules, snapshots,
+//! checkpoint/resume and the stratum restriction. [`LrSession`],
+//! [`LnrSession`] and [`NnoSession`] are its three instances.
 //!
-//! # Modes
+//! A session advances under explicit control of its caller and can report
+//! the current estimate, running confidence interval, queries spent and
+//! [`EngineReport`] after any step. [`Session::step`] advances **one chunk
+//! round** (one [`crate::driver::CHUNK_SAMPLES`]-sample chunk per worker
+//! thread) and [`Session::run_wave`] the rest of the current wave; both give
+//! the same bits. This is the substrate of the `lbs-server` multi-tenant
+//! scheduler, which interleaves chunk rounds of many concurrent jobs over
+//! shared query budgets through the type-erased [`EstimationSession`].
 //!
-//! * **Wave mode** ([`SessionConfig`]): samples draw private RNGs seeded
-//!   from `(root_seed, sample_index)` and run through the
-//!   [`crate::driver::SampleDriver`] machinery, so results are bit-identical
-//!   at every thread count. The batch `estimate_parallel` facades are thin
-//!   loops over this mode with no overrides, which keeps their outputs
-//!   byte-identical to the pre-session code.
-//! * **Serial mode**: samples consume a caller-supplied RNG stream and the
-//!   soft budget is metered against the service ledger per sample — the
-//!   exact semantics of the historical serial `estimate` facades, which are
-//!   now thin loops over [`LrSession::step_serial`] (and its LNR/NNO
-//!   siblings).
+//! Every sample draws a private RNG seeded from `(root_seed, sample_index)`,
+//! so results are bit-identical at every thread count. The batch facades are
+//! thin loops over sessions: `estimate_parallel` runs adaptive waves with no
+//! overrides, and the serial `estimate(…, &mut rng)` runs one thread with
+//! one-sample waves, seeded by `rng.next_u64()`, so its budget and the LR
+//! history are checked and shared after every sample.
 //!
 //! # Checkpoint / resume determinism
 //!
-//! A wave-mode session is Markovian: the next step is a pure function of the
-//! session state, the root seed and the budget — never of wall-clock time,
-//! thread count or how often the caller paused. [`EstimationSession::checkpoint`]
-//! snapshots the entire owned state (accumulators, sample cursor, estimator
-//! state such as the LR [`History`], and the forked histories of a wave in
-//! flight), between any two steps; [`EstimationSession::resume`] rebuilds
-//! a session from a snapshot and a service handle. Stepping a resumed
-//! session is **bit-identical** to never having checkpointed, at every
-//! thread count, and replays the same queries against the service, so even
-//! the service ledger matches an uninterrupted run. The only caveats are
-//! the ones the driver already documents: a *hard* service limit aborts at a
+//! A session is Markovian: the next step is a pure function of the session
+//! state, the root seed and the budget — never of wall-clock time, thread
+//! count or how often the caller paused. [`Session::checkpoint`] snapshots
+//! the entire owned state (accumulators, sample cursor, the estimator's
+//! chunk state such as the LR [`History`], and the forked states of a wave
+//! in flight), between any two steps; [`Session::resume`] rebuilds a session
+//! from a snapshot and a service handle. Stepping a resumed session is
+//! **bit-identical** to never having checkpointed, at every thread count,
+//! and replays the same queries against the service, so even the service
+//! ledger matches an uninterrupted run. The only caveats are the ones the
+//! driver already documents: a *hard* service limit aborts at a
 //! scheduling-dependent query, and `max_wall_ms` stops at a wall-clock-
 //! dependent wave boundary (every state it stops in is still a valid
 //! anytime answer).
 //!
 //! # Early stopping
 //!
-//! Wave-mode sessions stop at the first of: soft budget spent (the wave in
-//! flight finishes, mirroring the batch overshoot), target confidence
-//! reached (`target_ci_halfwidth`), wall-clock cap (`max_wall_ms`), hard
-//! service limit, or a caller's cancel. The budget, precision and wall-clock
-//! rules are checked at wave boundaries only, never between the chunk rounds
-//! of a wave; a cancel takes effect at once. The [`StopReason`] is reported
-//! in every [`AnytimeSnapshot`].
+//! Sessions stop at the first of: soft budget spent (the wave in flight
+//! finishes, mirroring the batch overshoot), target confidence reached
+//! (`target_ci_halfwidth`), wall-clock cap (`max_wall_ms`), hard service
+//! limit, or a caller's cancel. The budget, precision and wall-clock rules
+//! are checked at wave boundaries only, never between the chunk rounds of a
+//! wave; a cancel takes effect at once. The [`StopReason`] is reported in
+//! every [`AnytimeSnapshot`].
 
+use std::fmt::Debug;
 use std::time::Duration;
 
-use rand::Rng;
-
-use lbs_geom::Rect;
-use lbs_service::{LbsBackend, QueryCounter, QueryError, ReturnMode};
+use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
-use crate::agg::Aggregate;
-use crate::baseline::{NnoBaseline, NnoConfig};
-use crate::driver::{DriverOutcome, Quantum, SampleDriver, SampleOutcome, WaveState};
-use crate::engine_stats::{EngineReport, SharedEngineCounters};
-use crate::estimate::{point_and_error, Estimate, EstimateError, TracePoint};
-use crate::lnr::cell::LnrExploreConfig;
-use crate::lnr::{LnrLbsAgg, LnrLbsAggConfig};
-use crate::lr::{history::History, LrLbsAgg, LrLbsAggConfig};
-use crate::sampling::QuerySampler;
+use lbs_geom::Rect;
+use lbs_service::{LbsBackend, QueryCounter, QueryError};
 
-/// Run-control knobs of a wave-mode session.
+use crate::agg::Aggregate;
+use crate::baseline::NnoConfig;
+use crate::driver::{DriverOutcome, Quantum, SampleDriver, SampleOutcome, WaveState};
+use crate::engine_stats::EngineReport;
+use crate::estimate::{point_and_error, Estimate, EstimateError};
+use crate::lnr::LnrLbsAggConfig;
+use crate::lr::{History, LrLbsAggConfig};
+use crate::sampling::QuerySampler;
+use crate::stratified::{StratifiedSession, StratifiedSessionState};
+
+/// Run-control knobs of a session.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SessionConfig {
     /// Soft query budget; the session stops scheduling new waves once the
@@ -171,17 +169,16 @@ pub struct AnytimeSnapshot {
     pub ci95: (f64, f64),
     /// Completed samples.
     pub samples: u64,
-    /// Queries attributed to completed samples (wave mode) or spent on the
-    /// service ledger (serial mode).
+    /// Queries attributed to completed samples.
     pub queries: u64,
-    /// Waves completed so far (serial mode counts samples); a wave in
-    /// flight is not counted until its last chunk is done.
+    /// Waves completed so far; a wave in flight is not counted until its
+    /// last chunk is done.
     pub waves: u64,
     /// `true` once the session will not advance further.
     pub finished: bool,
     /// Why the session stopped, once it has.
     pub stop: Option<StopReason>,
-    /// Cell-engine counters accumulated so far.
+    /// Cell-engine counters of the waves completed so far.
     pub engine: EngineReport,
 }
 
@@ -192,55 +189,140 @@ impl AnytimeSnapshot {
     }
 }
 
-/// Which budget/trace semantics a session runs under.
-#[derive(Clone, Debug)]
-enum Mode {
-    /// Historical serial semantics: caller RNG, per-sample ledger metering.
-    Serial {
-        /// Service ledger reading at session start.
-        start_cost: u64,
-    },
-    /// Driver semantics: per-sample seeded RNGs, wave-boundary metering.
-    Waves,
+/// One of the paper's estimators as a [`Session`] runs it: one independent
+/// Horvitz–Thompson sample at a time, with a per-chunk `State` that every
+/// chunk forks off the session's master copy and the driver absorbs back in
+/// chunk order at the end of each wave.
+///
+/// The configuration types implement it: [`LrLbsAggConfig`] (Algorithm 5,
+/// whose state is the §3.2.2 [`History`]), [`LnrLbsAggConfig`] (Algorithm 6)
+/// and [`NnoConfig`] (the baseline), whose state is just their
+/// [`EngineReport`] counters. [`EstimatorKind`] picks one at run time.
+pub trait SampleEstimator: Clone + Debug + Send + Sync {
+    /// What the samples of one chunk share and the session carries between
+    /// waves.
+    type State: Clone + Debug + Default + Send + Sync;
+
+    /// The base query-location design of a run over `region` through
+    /// `service` (a [`Session`] may restrict its draws to a stratum, but
+    /// every probability stays this design's).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `service`'s interface cannot serve this estimator.
+    fn design<S: LbsBackend + ?Sized>(&self, service: &S, region: &Rect) -> QuerySampler;
+
+    /// Runs one independent sample — draws a location from `sampler`,
+    /// issues its kNN query and turns the answer into the sample's
+    /// Horvitz–Thompson `(numerator, denominator)` contribution. An `Err`
+    /// means the sample hit the service's hard query limit and no partial
+    /// contribution exists.
+    fn sample_once<S: LbsBackend + ?Sized>(
+        &self,
+        service: &S,
+        sampler: &QuerySampler,
+        region: &Rect,
+        aggregate: &Aggregate,
+        state: &mut Self::State,
+        rng: &mut StdRng,
+    ) -> Result<(f64, f64), QueryError>;
+
+    /// A chunk's private copy of the master state.
+    fn fork(master: &Self::State) -> Self::State;
+
+    /// Merges what one completed chunk learned back into the master state.
+    fn absorb(master: &mut Self::State, fork: &Self::State);
+
+    /// The cell-engine counters `state` has accumulated.
+    fn engine(state: &Self::State) -> EngineReport;
 }
 
-/// State shared by all three session kinds (everything but the estimator
-/// specifics and the service handle). `B` is the per-chunk forked state the
-/// driver holds for a wave in flight (the LR [`History`], `()` otherwise).
+/// Which of the paper's estimators a run uses, with its configuration: the
+/// estimator of a declarative scenario, and of every stratum child of a
+/// [`StratifiedSession`].
 #[derive(Clone, Debug)]
-struct CommonState<B = ()> {
+pub enum EstimatorKind {
+    /// LR-LBS-AGG with this configuration.
+    Lr(LrLbsAggConfig),
+    /// LNR-LBS-AGG with this configuration.
+    Lnr(LnrLbsAggConfig),
+    /// The LR-LBS-NNO baseline with this configuration.
+    Nno(NnoConfig),
+}
+
+impl SampleEstimator for EstimatorKind {
+    /// The LR history next to the LNR/NNO counters; each kind uses only its
+    /// own half, so the other stays empty.
+    type State = (History, EngineReport);
+
+    fn design<S: LbsBackend + ?Sized>(&self, service: &S, region: &Rect) -> QuerySampler {
+        match self {
+            EstimatorKind::Lr(c) => c.design(service, region),
+            EstimatorKind::Lnr(c) => c.design(service, region),
+            EstimatorKind::Nno(c) => c.design(service, region),
+        }
+    }
+
+    fn sample_once<S: LbsBackend + ?Sized>(
+        &self,
+        service: &S,
+        sampler: &QuerySampler,
+        region: &Rect,
+        aggregate: &Aggregate,
+        (history, engine): &mut Self::State,
+        rng: &mut StdRng,
+    ) -> Result<(f64, f64), QueryError> {
+        match self {
+            EstimatorKind::Lr(c) => {
+                c.sample_once(service, sampler, region, aggregate, history, rng)
+            }
+            EstimatorKind::Lnr(c) => {
+                c.sample_once(service, sampler, region, aggregate, engine, rng)
+            }
+            EstimatorKind::Nno(c) => {
+                c.sample_once(service, sampler, region, aggregate, engine, rng)
+            }
+        }
+    }
+
+    fn fork((history, _): &Self::State) -> Self::State {
+        (history.fork(), EngineReport::default())
+    }
+
+    fn absorb((history, engine): &mut Self::State, fork: &Self::State) {
+        history.absorb(&fork.0);
+        engine.add(&fork.1);
+    }
+
+    fn engine((history, engine): &Self::State) -> EngineReport {
+        let mut total = history.engine_report();
+        total.add(engine);
+        total
+    }
+}
+
+/// The owned (service-independent) state of a session: what
+/// [`Session::checkpoint`] snapshots and [`Session::resume`] restores.
+#[derive(Clone, Debug)]
+pub struct SessionState<E: SampleEstimator> {
+    estimator: E,
+    sampler: QuerySampler,
     region: Rect,
     aggregate: Aggregate,
     cfg: SessionConfig,
-    mode: Mode,
-    wave: WaveState<B>,
     driver: SampleDriver,
-    /// Wall-clock time spent inside `step` calls so far.
+    wave: WaveState<E::State>,
+    /// The master chunk state (the LR history), absorbed into at every wave
+    /// boundary.
+    master: E::State,
+    /// Engine counters the master state carried in at the start.
+    engine_before: EngineReport,
+    /// Wall-clock time spent inside steps so far.
     elapsed: Duration,
     stop: Option<StopReason>,
 }
 
-impl<B> CommonState<B> {
-    fn new(region: Rect, aggregate: Aggregate, cfg: SessionConfig, mode: Mode) -> Self {
-        // `SampleDriver::new` already resolves `0` to all cores; clamping
-        // here would silently turn the documented "all cores" into 1.
-        let driver = SampleDriver::new(cfg.threads);
-        CommonState {
-            region,
-            aggregate,
-            cfg,
-            mode,
-            wave: WaveState::new(),
-            driver,
-            elapsed: Duration::ZERO,
-            stop: None,
-        }
-    }
-
-    fn is_ratio(&self) -> bool {
-        self.aggregate.is_ratio()
-    }
-
+impl<E: SampleEstimator> SessionState<E> {
     /// Applies the wave-boundary stop rules after one step and records the
     /// reason. `wall` is the duration of the step just taken. A step that
     /// ended inside a wave only adds its time: the rules wait for the wave's
@@ -266,7 +348,7 @@ impl<B> CommonState<B> {
             let (_, std_error) = point_and_error(
                 &self.wave.outcome.numerator,
                 &self.wave.outcome.denominator,
-                self.is_ratio(),
+                self.aggregate.is_ratio(),
             );
             // A zero standard error is the undefined/degenerate sentinel
             // (fewer than two samples, or a ratio with an empty denominator)
@@ -289,11 +371,225 @@ impl<B> CommonState<B> {
         }
     }
 
-    fn cancel(&mut self) {
-        if !self.wave.finished {
-            self.wave.finished = true;
-            self.stop = Some(StopReason::Cancelled);
+    /// Engine counters of this run so far.
+    fn engine(&self) -> EngineReport {
+        E::engine(&self.master).since(&self.engine_before)
+    }
+}
+
+/// A resumable run of estimator `E` over a service `S`.
+#[derive(Debug)]
+pub struct Session<E: SampleEstimator, S: LbsBackend> {
+    service: S,
+    state: SessionState<E>,
+}
+
+/// A resumable LR-LBS-AGG estimation run.
+pub type LrSession<S> = Session<LrLbsAggConfig, S>;
+/// A resumable LNR-LBS-AGG estimation run.
+pub type LnrSession<S> = Session<LnrLbsAggConfig, S>;
+/// A resumable LR-LBS-NNO baseline run.
+pub type NnoSession<S> = Session<NnoConfig, S>;
+
+impl<E: SampleEstimator, S: LbsBackend> Session<E, S> {
+    /// Starts a session from an empty chunk state (a cold LR history).
+    pub fn new(
+        service: S,
+        region: &Rect,
+        aggregate: &Aggregate,
+        estimator: E,
+        cfg: SessionConfig,
+    ) -> Self {
+        let sampler = estimator.design(&service, region);
+        Session {
+            service,
+            state: SessionState {
+                estimator,
+                sampler,
+                region: *region,
+                aggregate: aggregate.clone(),
+                // `SampleDriver::new` resolves `0` to all cores.
+                driver: SampleDriver::new(cfg.threads),
+                cfg,
+                wave: WaveState::new(),
+                master: E::State::default(),
+                engine_before: EngineReport::default(),
+                elapsed: Duration::ZERO,
+                stop: None,
+            },
         }
+    }
+
+    /// Starts a session whose master chunk state is `state` — an LR history
+    /// carried over from earlier runs on the same service.
+    pub fn with_state(
+        service: S,
+        region: &Rect,
+        aggregate: &Aggregate,
+        estimator: E,
+        state: E::State,
+        cfg: SessionConfig,
+    ) -> Self {
+        let mut session = Self::new(service, region, aggregate, estimator, cfg);
+        session.carry_in(state);
+        session
+    }
+
+    /// Makes `state` the master chunk state of a session that has not
+    /// stepped yet.
+    fn carry_in(&mut self, state: E::State) {
+        self.state.engine_before = E::engine(&state);
+        self.state.master = state;
+    }
+
+    /// Restricts the query draws to the `stratum` rectangle while every
+    /// Horvitz–Thompson probability stays full-region — the child-session
+    /// shape the stratified combiner needs (see [`crate::stratified`]).
+    pub(crate) fn restricted_to(mut self, stratum: Rect) -> Self {
+        self.state.sampler = QuerySampler::stratified(stratum, self.state.sampler.clone());
+        self
+    }
+
+    /// Snapshots the entire owned state. Resuming from the snapshot (on the
+    /// same or an identically-behaving service) and stepping is bit-identical
+    /// to continuing this session.
+    pub fn checkpoint(&self) -> SessionState<E> {
+        self.state.clone()
+    }
+
+    /// Rebuilds a session from a checkpoint and a service handle.
+    pub fn resume(service: S, checkpoint: SessionState<E>) -> Self {
+        Session {
+            service,
+            state: checkpoint,
+        }
+    }
+
+    /// `true` once the session will not advance further.
+    pub fn is_finished(&self) -> bool {
+        self.state.wave.finished
+    }
+
+    /// Advances the session by one chunk round: one
+    /// [`crate::driver::CHUNK_SAMPLES`]-sample chunk per worker thread, the
+    /// scheduling quantum of a served job. The forked states of the round's
+    /// chunks wait in the session until the wave's last chunk, so stepping
+    /// by rounds is bit-identical to [`Session::run_wave`].
+    pub fn step(&mut self) {
+        self.advance(Quantum::Round);
+    }
+
+    /// Advances the session to the end of its current wave (a whole wave at
+    /// a wave boundary), claiming chunks dynamically across all worker
+    /// threads — the batch quantum.
+    pub fn run_wave(&mut self) {
+        self.advance(Quantum::Wave);
+    }
+
+    /// Advances the session by one `quantum`.
+    pub(crate) fn advance(&mut self, quantum: Quantum) {
+        if self.state.wave.finished {
+            return;
+        }
+        // lbs-lint: allow(ambient-time, reason = "wall-clock early-stop picks when to stop; the estimate at any stop point stays bit-identical (session_checkpoint tests)")
+        let started = std::time::Instant::now();
+        let SessionState {
+            estimator,
+            sampler,
+            region,
+            aggregate,
+            cfg,
+            driver,
+            wave,
+            master,
+            ..
+        } = &mut self.state;
+        let service = &self.service;
+        let (estimator, sampler, region, aggregate) =
+            (&*estimator, &*sampler, &*region, &*aggregate);
+        driver.step(
+            quantum,
+            cfg.query_budget,
+            cfg.root_seed,
+            aggregate.is_ratio(),
+            cfg.wave_size,
+            wave,
+            master,
+            &E::fork,
+            &|state: &mut E::State, _index, rng| {
+                let metered = QueryCounter::new(service);
+                let (numerator, denominator) =
+                    estimator.sample_once(&metered, sampler, region, aggregate, state, rng)?;
+                Ok(SampleOutcome {
+                    numerator,
+                    denominator,
+                    queries: metered.taken(),
+                })
+            },
+            &|master: &mut E::State, forks: Vec<E::State>| {
+                for fork in &forks {
+                    E::absorb(master, fork);
+                }
+            },
+        );
+        self.state.apply_stop_rules(started.elapsed());
+    }
+
+    /// The anytime state of the run.
+    pub fn snapshot(&self) -> AnytimeSnapshot {
+        let state = &self.state;
+        let outcome = &state.wave.outcome;
+        let (value, std_error) = point_and_error(
+            &outcome.numerator,
+            &outcome.denominator,
+            state.aggregate.is_ratio(),
+        );
+        AnytimeSnapshot {
+            value,
+            std_error,
+            ci95: (value - 1.96 * std_error, value + 1.96 * std_error),
+            samples: outcome.numerator.count(),
+            queries: outcome.queries,
+            waves: state.wave.waves,
+            finished: state.wave.finished,
+            stop: state.stop,
+            engine: state.engine(),
+        }
+    }
+
+    /// The final (or current — sessions are anytime) [`Estimate`],
+    /// bit-identical to what the batch facades produce for the same
+    /// configuration.
+    pub fn finalize(&self) -> Result<Estimate, EstimateError> {
+        let outcome = &self.state.wave.outcome;
+        if outcome.numerator.count() == 0 {
+            return Err(EstimateError::NoSamples);
+        }
+        let mut estimate = if self.state.aggregate.is_ratio() {
+            Estimate::ratio_from_stats(
+                &outcome.numerator,
+                &outcome.denominator,
+                outcome.queries,
+                outcome.trace.clone(),
+            )
+        } else {
+            Estimate::from_stats(&outcome.numerator, outcome.queries, outcome.trace.clone())
+        };
+        estimate.engine = self.state.engine();
+        Ok(estimate)
+    }
+
+    /// Stops the session without finishing its budget.
+    pub fn cancel(&mut self) {
+        if !self.state.wave.finished {
+            self.state.wave.finished = true;
+            self.state.stop = Some(StopReason::Cancelled);
+        }
+    }
+
+    /// The raw driver accumulators (the stratified combiner folds these).
+    pub(crate) fn outcome(&self) -> &DriverOutcome {
+        &self.state.wave.outcome
     }
 
     /// Raises the soft query budget to `new_budget` (never lowers it) and —
@@ -302,986 +598,57 @@ impl<B> CommonState<B> {
     /// (`NoProgress`, `ServiceExhausted`, …) is terminal and stays in place.
     /// The stratified combiner uses this to grant a stratum its final
     /// (Neyman) allocation after the pilot phase.
-    fn extend_budget(&mut self, new_budget: u64) {
-        if new_budget <= self.cfg.query_budget {
+    pub(crate) fn extend_budget(&mut self, new_budget: u64) {
+        let state = &mut self.state;
+        if new_budget <= state.cfg.query_budget {
             return;
         }
-        self.cfg.query_budget = new_budget;
-        if self.stop == Some(StopReason::BudgetSpent) && self.wave.outcome.queries < new_budget {
-            self.stop = None;
-            self.wave.finished = false;
+        state.cfg.query_budget = new_budget;
+        if state.stop == Some(StopReason::BudgetSpent) && state.wave.outcome.queries < new_budget {
+            state.stop = None;
+            state.wave.finished = false;
         }
     }
 
-    fn snapshot(&self, queries_override: Option<u64>, engine: EngineReport) -> AnytimeSnapshot {
-        let outcome = &self.wave.outcome;
-        let (value, std_error) =
-            point_and_error(&outcome.numerator, &outcome.denominator, self.is_ratio());
-        AnytimeSnapshot {
-            value,
-            std_error,
-            ci95: (value - 1.96 * std_error, value + 1.96 * std_error),
-            samples: outcome.numerator.count(),
-            queries: queries_override.unwrap_or(outcome.queries),
-            waves: self.wave.waves,
-            finished: self.wave.finished,
-            stop: self.stop,
-            engine,
-        }
+    /// Why the session stopped, once it has.
+    pub(crate) fn stop_reason(&self) -> Option<StopReason> {
+        self.state.stop
     }
 
-    /// Builds the final [`Estimate`] from the accumulators, mirroring the
-    /// batch facades bit for bit.
-    fn finalize(&self, query_cost: u64) -> Result<Estimate, EstimateError> {
-        let outcome = &self.wave.outcome;
-        if outcome.numerator.count() == 0 {
-            return Err(EstimateError::NoSamples);
-        }
-        Ok(if self.is_ratio() {
-            Estimate::ratio_from_stats(
-                &outcome.numerator,
-                &outcome.denominator,
-                query_cost,
-                outcome.trace.clone(),
-            )
-        } else {
-            Estimate::from_stats(&outcome.numerator, query_cost, outcome.trace.clone())
-        })
+    /// `true` while the last step ended inside a wave.
+    pub(crate) fn in_wave(&self) -> bool {
+        self.state.wave.in_wave()
     }
-
-    /// Serial-mode bookkeeping after one successful sample: push the
-    /// contribution and record the ledger-cost trace point, exactly like the
-    /// historical serial loops.
-    fn push_serial_sample(&mut self, num: f64, den: f64, ledger_cost: u64, trace_every: u64) {
-        let outcome = &mut self.wave.outcome;
-        outcome.numerator.push(num);
-        outcome.denominator.push(den);
-        self.wave.waves += 1;
-        if trace_every > 0 && outcome.numerator.count() % trace_every == 0 {
-            let (current, _) = point_and_error(
-                &outcome.numerator,
-                &outcome.denominator,
-                self.aggregate.is_ratio(),
-            );
-            outcome.trace.push(TracePoint {
-                query_cost: ledger_cost,
-                estimate: current,
-            });
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// LR session
-// ---------------------------------------------------------------------------
-
-/// The owned (service-independent) state of an LR session: what
-/// [`LrSession::checkpoint`] snapshots and [`LrSession::resume`] restores.
-#[derive(Clone, Debug)]
-pub struct LrSessionState {
-    common: CommonState<History>,
-    config: LrLbsAggConfig,
-    sampler: QuerySampler,
-    k: usize,
-    history: History,
-    engine_before: EngineReport,
-}
-
-/// A resumable LR-LBS-AGG estimation run over a service `S`.
-#[derive(Debug)]
-pub struct LrSession<S: LbsBackend> {
-    service: S,
-    state: LrSessionState,
 }
 
 impl<S: LbsBackend> LrSession<S> {
-    /// Starts a wave-mode session, seeding the §3.2.2 history from
-    /// `history` (pass [`History::new`] for a cold start).
-    pub fn new(
-        service: S,
-        region: &Rect,
-        aggregate: &Aggregate,
-        config: LrLbsAggConfig,
-        history: History,
-        cfg: SessionConfig,
-    ) -> Self {
-        Self::with_mode(
-            service,
-            region,
-            aggregate,
-            config,
-            history,
-            cfg,
-            Mode::Waves,
-        )
-    }
-
-    /// Starts a serial-mode session (caller RNG, per-sample ledger
-    /// metering) — the engine of the batch [`LrLbsAgg::estimate`] facade.
-    pub fn new_serial(
-        service: S,
-        region: &Rect,
-        aggregate: &Aggregate,
-        config: LrLbsAggConfig,
-        history: History,
-        query_budget: u64,
-    ) -> Self {
-        let start_cost = service.queries_issued();
-        Self::with_mode(
-            service,
-            region,
-            aggregate,
-            config,
-            history,
-            SessionConfig::new(query_budget, 0),
-            Mode::Serial { start_cost },
-        )
-    }
-
-    fn with_mode(
-        service: S,
-        region: &Rect,
-        aggregate: &Aggregate,
-        config: LrLbsAggConfig,
-        history: History,
-        cfg: SessionConfig,
-        mode: Mode,
-    ) -> Self {
-        assert_eq!(
-            service.config().return_mode,
-            ReturnMode::LocationReturned,
-            "LR-LBS-AGG requires a location-returned interface; use LnrLbsAgg for rank-only ones"
-        );
-        let sampler = match &config.weighted_sampler {
-            Some(grid) => QuerySampler::weighted(grid.clone()),
-            None => QuerySampler::uniform(*region),
-        };
-        let k = service.config().k;
-        let engine_before = history.engine_report();
-        LrSession {
-            service,
-            state: LrSessionState {
-                common: CommonState::new(*region, aggregate.clone(), cfg, mode),
-                config,
-                sampler,
-                k,
-                history,
-                engine_before,
-            },
-        }
-    }
-
-    /// Snapshots the entire owned state. Resuming from the snapshot (on the
-    /// same or an identically-behaving service) and stepping is bit-identical
-    /// to continuing this session.
-    pub fn checkpoint(&self) -> LrSessionState {
-        self.state.clone()
-    }
-
-    /// Rebuilds a session from a checkpoint and a service handle.
-    pub fn resume(service: S, checkpoint: LrSessionState) -> Self {
-        LrSession {
-            service,
-            state: checkpoint,
-        }
-    }
-
-    /// `true` once the session will not advance further.
-    pub fn is_finished(&self) -> bool {
-        self.state.common.wave.finished
-    }
-
-    /// Advances a wave-mode session by one chunk round: one
-    /// [`crate::driver::CHUNK_SAMPLES`]-sample chunk per worker thread,
-    /// the scheduling quantum of a served job. The forked histories of the
-    /// round's chunks wait in the session until the wave's last chunk, so
-    /// stepping by rounds is bit-identical to [`LrSession::run_wave`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on serial-mode sessions — those advance with
-    /// [`LrSession::step_serial`].
-    pub fn step(&mut self) {
-        self.advance(Quantum::Round);
-    }
-
-    /// Advances a wave-mode session to the end of its current wave (a whole
-    /// wave at a wave boundary), claiming chunks dynamically across all
-    /// worker threads — the batch quantum.
-    ///
-    /// # Panics
-    ///
-    /// Panics on serial-mode sessions.
-    pub fn run_wave(&mut self) {
-        self.advance(Quantum::Wave);
-    }
-
-    /// Advances a wave-mode session by one `quantum`.
-    pub(crate) fn advance(&mut self, quantum: Quantum) {
-        assert!(
-            matches!(self.state.common.mode, Mode::Waves),
-            "step() drives wave-mode sessions; serial sessions use step_serial()"
-        );
-        if self.state.common.wave.finished {
-            return;
-        }
-        // lbs-lint: allow(ambient-time, reason = "wall-clock early-stop picks when to stop; the estimate at any stop point stays bit-identical (session_checkpoint tests)")
-        let started = std::time::Instant::now();
-        let LrSessionState {
-            common,
-            config,
-            sampler,
-            k,
-            history,
-            ..
-        } = &mut self.state;
-        let service = &self.service;
-        let region = common.region;
-        let aggregate = common.aggregate.clone();
-        let is_ratio = common.is_ratio();
-        let (config, sampler, k) = (&*config, &*sampler, *k);
-        let driver = common.driver.clone();
-        driver.step(
-            quantum,
-            common.cfg.query_budget,
-            common.cfg.root_seed,
-            is_ratio,
-            common.cfg.wave_size,
-            &mut common.wave,
-            history,
-            &History::fork,
-            &|history: &mut History, _index, rng| {
-                let metered = QueryCounter::new(service);
-                let (num, den) = LrLbsAgg::sample_once(
-                    config, sampler, k, &metered, &region, &aggregate, history, rng,
-                )?;
-                Ok(SampleOutcome {
-                    numerator: num,
-                    denominator: den,
-                    queries: metered.taken(),
-                })
-            },
-            &|master, forks| {
-                for fork in &forks {
-                    master.absorb(fork);
-                }
-            },
-        );
-        common.apply_stop_rules(started.elapsed());
-    }
-
-    /// Advances a serial-mode session by one sample drawn from `rng`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on wave-mode sessions — those advance with
-    /// [`LrSession::step`].
-    pub fn step_serial<R: Rng>(&mut self, rng: &mut R) {
-        let Mode::Serial { start_cost } = self.state.common.mode else {
-            panic!("step_serial() drives serial-mode sessions; wave sessions use step()");
-        };
-        if self.state.common.wave.finished {
-            return;
-        }
-        // lbs-lint: allow(ambient-time, reason = "wall-clock early-stop picks when to stop; the estimate at any stop point stays bit-identical (session_checkpoint tests)")
-        let started = std::time::Instant::now();
-        let budget_left = self
-            .state
-            .common
-            .cfg
-            .query_budget
-            .saturating_sub(self.service.queries_issued() - start_cost);
-        if budget_left == 0 {
-            self.state.common.wave.finished = true;
-            self.state.common.stop = Some(StopReason::BudgetSpent);
-            return;
-        }
-        let LrSessionState {
-            common,
-            config,
-            sampler,
-            k,
-            history,
-            ..
-        } = &mut self.state;
-        let aggregate = common.aggregate.clone();
-        // An `Err` means the sample hit the service's hard limit; it is
-        // discarded rather than recorded as a partial (biased) contribution.
-        match LrLbsAgg::sample_once(
-            config,
-            sampler,
-            *k,
-            &self.service,
-            &common.region,
-            &aggregate,
-            history,
-            rng,
-        ) {
-            Ok((num, den)) => {
-                let ledger_cost = self.service.queries_issued() - start_cost;
-                let trace_every = config.trace_every;
-                common.push_serial_sample(num, den, ledger_cost, trace_every);
-                common.apply_stop_rules(started.elapsed());
-            }
-            Err(QueryError::BudgetExhausted { .. }) => {
-                common.wave.finished = true;
-                common.stop = Some(StopReason::ServiceExhausted);
-            }
-        }
-    }
-
-    /// Queries this session has spent so far (ledger-based in serial mode).
-    pub fn queries_spent(&self) -> u64 {
-        match self.state.common.mode {
-            Mode::Serial { start_cost } => self.service.queries_issued() - start_cost,
-            Mode::Waves => self.state.common.wave.outcome.queries,
-        }
-    }
-
-    /// The anytime state of the run.
-    pub fn snapshot(&self) -> AnytimeSnapshot {
-        let queries = match self.state.common.mode {
-            Mode::Serial { .. } => Some(self.queries_spent()),
-            Mode::Waves => None,
-        };
-        self.state.common.snapshot(
-            queries,
-            self.state
-                .history
-                .engine_report()
-                .since(&self.state.engine_before),
-        )
-    }
-
-    /// The final (or current — sessions are anytime) [`Estimate`],
-    /// bit-identical to what the batch facades produce for the same
-    /// configuration.
-    pub fn finalize(&self) -> Result<Estimate, EstimateError> {
-        let mut est = self.state.common.finalize(self.queries_spent())?;
-        est.engine = self
-            .state
-            .history
-            .engine_report()
-            .since(&self.state.engine_before);
-        Ok(est)
-    }
-
-    /// Stops the session without finishing its budget.
-    pub fn cancel(&mut self) {
-        self.state.common.cancel();
-    }
-
     /// Consumes the session, handing back the accumulated history (the
     /// batch facades thread it back into the estimator).
     pub fn into_history(self) -> History {
-        self.state.history
-    }
-
-    /// Starts a wave-mode session whose query *draws* are restricted to the
-    /// `stratum` rectangle while every Horvitz–Thompson probability stays
-    /// full-region — the child-session shape the stratified combiner needs
-    /// (see [`crate::stratified`]).
-    pub(crate) fn new_stratum(
-        service: S,
-        region: &Rect,
-        stratum: Rect,
-        aggregate: &Aggregate,
-        config: LrLbsAggConfig,
-        cfg: SessionConfig,
-    ) -> Self {
-        let mut s = Self::with_mode(
-            service,
-            region,
-            aggregate,
-            config,
-            History::new(),
-            cfg,
-            Mode::Waves,
-        );
-        s.state.sampler = QuerySampler::stratified(stratum, s.state.sampler.clone());
-        s
-    }
-
-    /// The raw driver accumulators (the combiner folds these).
-    pub(crate) fn outcome(&self) -> &DriverOutcome {
-        &self.state.common.wave.outcome
-    }
-
-    /// Raises the soft budget (see `CommonState::extend_budget`).
-    pub(crate) fn extend_budget(&mut self, new_budget: u64) {
-        self.state.common.extend_budget(new_budget);
-    }
-
-    /// Why the session stopped, once it has.
-    pub(crate) fn stop_reason(&self) -> Option<StopReason> {
-        self.state.common.stop
-    }
-
-    /// `true` while the last step ended inside a wave.
-    pub(crate) fn in_wave(&self) -> bool {
-        self.state.common.wave.in_wave()
+        self.state.master
     }
 }
 
-// ---------------------------------------------------------------------------
-// LNR and NNO sessions (no cross-sample estimator state)
-// ---------------------------------------------------------------------------
-
-/// The owned state of an LNR session (see [`LrSessionState`]).
-#[derive(Clone, Debug)]
-pub struct LnrSessionState {
-    common: CommonState,
-    explore: LnrExploreConfig,
-    sampler: QuerySampler,
-    h: usize,
-    needs_location: bool,
-    trace_every: u64,
-    engine: EngineReport,
-}
-
-/// A resumable LNR-LBS-AGG estimation run over a service `S`.
-#[derive(Debug)]
-pub struct LnrSession<S: LbsBackend> {
+/// Runs a session to completion by whole waves — the loop of the batch
+/// facades — over the caller's long-lived chunk state (the LR history),
+/// which is taken for the run and handed back after it. An interface the
+/// estimator rejects panics before `state` is touched.
+pub(crate) fn run_batch<E: SampleEstimator, S: LbsBackend>(
     service: S,
-    state: LnrSessionState,
-}
-
-impl<S: LbsBackend> LnrSession<S> {
-    /// Starts a wave-mode session.
-    pub fn new(
-        service: S,
-        region: &Rect,
-        aggregate: &Aggregate,
-        config: LnrLbsAggConfig,
-        cfg: SessionConfig,
-    ) -> Self {
-        Self::with_mode(service, region, aggregate, config, cfg, Mode::Waves)
+    region: &Rect,
+    aggregate: &Aggregate,
+    estimator: E,
+    state: &mut E::State,
+    cfg: SessionConfig,
+) -> Result<Estimate, EstimateError> {
+    let mut session = Session::new(service, region, aggregate, estimator, cfg);
+    session.carry_in(std::mem::take(state));
+    while !session.is_finished() {
+        session.run_wave();
     }
-
-    /// Starts a serial-mode session (see [`LrSession::new_serial`]).
-    pub fn new_serial(
-        service: S,
-        region: &Rect,
-        aggregate: &Aggregate,
-        config: LnrLbsAggConfig,
-        query_budget: u64,
-    ) -> Self {
-        let start_cost = service.queries_issued();
-        Self::with_mode(
-            service,
-            region,
-            aggregate,
-            config,
-            SessionConfig::new(query_budget, 0),
-            Mode::Serial { start_cost },
-        )
-    }
-
-    fn with_mode(
-        service: S,
-        region: &Rect,
-        aggregate: &Aggregate,
-        config: LnrLbsAggConfig,
-        cfg: SessionConfig,
-        mode: Mode,
-    ) -> Self {
-        let estimator = LnrLbsAgg::new(config.clone());
-        let sampler = match (&config.weighted_sampler, config.h) {
-            (Some(grid), 1) => QuerySampler::weighted(grid.clone()),
-            _ => QuerySampler::uniform(*region),
-        };
-        let h = config.h.clamp(1, service.config().k.max(1));
-        LnrSession {
-            service,
-            state: LnrSessionState {
-                common: CommonState::new(*region, aggregate.clone(), cfg, mode),
-                explore: estimator.explore_config(),
-                sampler,
-                h,
-                needs_location: aggregate.needs_location(),
-                trace_every: config.trace_every,
-                engine: EngineReport::default(),
-            },
-        }
-    }
-
-    /// Snapshots the owned state (see [`LrSession::checkpoint`]).
-    pub fn checkpoint(&self) -> LnrSessionState {
-        self.state.clone()
-    }
-
-    /// Rebuilds a session from a checkpoint and a service handle.
-    pub fn resume(service: S, checkpoint: LnrSessionState) -> Self {
-        LnrSession {
-            service,
-            state: checkpoint,
-        }
-    }
-
-    /// `true` once the session will not advance further.
-    pub fn is_finished(&self) -> bool {
-        self.state.common.wave.finished
-    }
-
-    /// Advances a wave-mode session by one chunk round (see
-    /// [`LrSession::step`]).
-    pub fn step(&mut self) {
-        self.advance(Quantum::Round);
-    }
-
-    /// Advances a wave-mode session to the end of its current wave (see
-    /// [`LrSession::run_wave`]).
-    pub fn run_wave(&mut self) {
-        self.advance(Quantum::Wave);
-    }
-
-    /// Advances a wave-mode session by one `quantum`.
-    pub(crate) fn advance(&mut self, quantum: Quantum) {
-        assert!(
-            matches!(self.state.common.mode, Mode::Waves),
-            "step() drives wave-mode sessions; serial sessions use step_serial()"
-        );
-        if self.state.common.wave.finished {
-            return;
-        }
-        // lbs-lint: allow(ambient-time, reason = "wall-clock early-stop picks when to stop; the estimate at any stop point stays bit-identical (session_checkpoint tests)")
-        let started = std::time::Instant::now();
-        let LnrSessionState {
-            common,
-            explore,
-            sampler,
-            h,
-            needs_location,
-            engine,
-            ..
-        } = &mut self.state;
-        let service = &self.service;
-        let region = common.region;
-        let aggregate = common.aggregate.clone();
-        let is_ratio = common.is_ratio();
-        let counters = SharedEngineCounters::from_report(engine);
-        let (explore, sampler, h, needs_location) = (&*explore, &*sampler, *h, *needs_location);
-        let driver = common.driver.clone();
-        driver.step(
-            quantum,
-            common.cfg.query_budget,
-            common.cfg.root_seed,
-            is_ratio,
-            common.cfg.wave_size,
-            &mut common.wave,
-            &mut (),
-            &|_| (),
-            &|_state, _index, rng| {
-                let metered = QueryCounter::new(service);
-                let (num, den) = LnrLbsAgg::sample_once(
-                    explore,
-                    sampler,
-                    h,
-                    needs_location,
-                    &metered,
-                    &region,
-                    &aggregate,
-                    &counters,
-                    rng,
-                )?;
-                Ok(SampleOutcome {
-                    numerator: num,
-                    denominator: den,
-                    queries: metered.taken(),
-                })
-            },
-            &|_, _| {},
-        );
-        *engine = counters.report();
-        common.apply_stop_rules(started.elapsed());
-    }
-
-    /// Advances a serial-mode session by one sample (see
-    /// [`LrSession::step_serial`]).
-    pub fn step_serial<R: Rng>(&mut self, rng: &mut R) {
-        let Mode::Serial { start_cost } = self.state.common.mode else {
-            panic!("step_serial() drives serial-mode sessions; wave sessions use step()");
-        };
-        if self.state.common.wave.finished {
-            return;
-        }
-        // lbs-lint: allow(ambient-time, reason = "wall-clock early-stop picks when to stop; the estimate at any stop point stays bit-identical (session_checkpoint tests)")
-        let started = std::time::Instant::now();
-        let budget_left = self
-            .state
-            .common
-            .cfg
-            .query_budget
-            .saturating_sub(self.service.queries_issued() - start_cost);
-        if budget_left == 0 {
-            self.state.common.wave.finished = true;
-            self.state.common.stop = Some(StopReason::BudgetSpent);
-            return;
-        }
-        let LnrSessionState {
-            common,
-            explore,
-            sampler,
-            h,
-            needs_location,
-            trace_every,
-            engine,
-        } = &mut self.state;
-        let counters = SharedEngineCounters::from_report(engine);
-        let aggregate = common.aggregate.clone();
-        match LnrLbsAgg::sample_once(
-            explore,
-            sampler,
-            *h,
-            *needs_location,
-            &self.service,
-            &common.region,
-            &aggregate,
-            &counters,
-            rng,
-        ) {
-            Ok((num, den)) => {
-                *engine = counters.report();
-                let ledger_cost = self.service.queries_issued() - start_cost;
-                common.push_serial_sample(num, den, ledger_cost, *trace_every);
-                common.apply_stop_rules(started.elapsed());
-            }
-            Err(QueryError::BudgetExhausted { .. }) => {
-                *engine = counters.report();
-                common.wave.finished = true;
-                common.stop = Some(StopReason::ServiceExhausted);
-            }
-        }
-    }
-
-    /// Queries this session has spent so far.
-    pub fn queries_spent(&self) -> u64 {
-        match self.state.common.mode {
-            Mode::Serial { start_cost } => self.service.queries_issued() - start_cost,
-            Mode::Waves => self.state.common.wave.outcome.queries,
-        }
-    }
-
-    /// The anytime state of the run.
-    pub fn snapshot(&self) -> AnytimeSnapshot {
-        let queries = match self.state.common.mode {
-            Mode::Serial { .. } => Some(self.queries_spent()),
-            Mode::Waves => None,
-        };
-        self.state.common.snapshot(queries, self.state.engine)
-    }
-
-    /// The final (or current) [`Estimate`] (see [`LrSession::finalize`]).
-    pub fn finalize(&self) -> Result<Estimate, EstimateError> {
-        let mut est = self.state.common.finalize(self.queries_spent())?;
-        est.engine = self.state.engine;
-        Ok(est)
-    }
-
-    /// Stops the session without finishing its budget.
-    pub fn cancel(&mut self) {
-        self.state.common.cancel();
-    }
-
-    /// Starts a wave-mode session restricted to `stratum` (see
-    /// [`LrSession::new_stratum`]).
-    pub(crate) fn new_stratum(
-        service: S,
-        region: &Rect,
-        stratum: Rect,
-        aggregate: &Aggregate,
-        config: LnrLbsAggConfig,
-        cfg: SessionConfig,
-    ) -> Self {
-        let mut s = Self::with_mode(service, region, aggregate, config, cfg, Mode::Waves);
-        s.state.sampler = QuerySampler::stratified(stratum, s.state.sampler.clone());
-        s
-    }
-
-    /// The raw driver accumulators (the combiner folds these).
-    pub(crate) fn outcome(&self) -> &DriverOutcome {
-        &self.state.common.wave.outcome
-    }
-
-    /// Raises the soft budget (see `CommonState::extend_budget`).
-    pub(crate) fn extend_budget(&mut self, new_budget: u64) {
-        self.state.common.extend_budget(new_budget);
-    }
-
-    /// Why the session stopped, once it has.
-    pub(crate) fn stop_reason(&self) -> Option<StopReason> {
-        self.state.common.stop
-    }
-
-    /// `true` while the last step ended inside a wave.
-    pub(crate) fn in_wave(&self) -> bool {
-        self.state.common.wave.in_wave()
-    }
-}
-
-/// The owned state of an NNO session (see [`LrSessionState`]).
-#[derive(Clone, Debug)]
-pub struct NnoSessionState {
-    common: CommonState,
-    config: NnoConfig,
-    engine: EngineReport,
-}
-
-/// A resumable LR-LBS-NNO baseline run over a service `S`.
-#[derive(Debug)]
-pub struct NnoSession<S: LbsBackend> {
-    service: S,
-    state: NnoSessionState,
-}
-
-impl<S: LbsBackend> NnoSession<S> {
-    /// Starts a wave-mode session.
-    pub fn new(
-        service: S,
-        region: &Rect,
-        aggregate: &Aggregate,
-        config: NnoConfig,
-        cfg: SessionConfig,
-    ) -> Self {
-        Self::with_mode(service, region, aggregate, config, cfg, Mode::Waves)
-    }
-
-    /// Starts a serial-mode session (see [`LrSession::new_serial`]).
-    pub fn new_serial(
-        service: S,
-        region: &Rect,
-        aggregate: &Aggregate,
-        config: NnoConfig,
-        query_budget: u64,
-    ) -> Self {
-        let start_cost = service.queries_issued();
-        Self::with_mode(
-            service,
-            region,
-            aggregate,
-            config,
-            SessionConfig::new(query_budget, 0),
-            Mode::Serial { start_cost },
-        )
-    }
-
-    fn with_mode(
-        service: S,
-        region: &Rect,
-        aggregate: &Aggregate,
-        config: NnoConfig,
-        cfg: SessionConfig,
-        mode: Mode,
-    ) -> Self {
-        assert_eq!(
-            service.config().return_mode,
-            ReturnMode::LocationReturned,
-            "LR-LBS-NNO requires a location-returned interface"
-        );
-        NnoSession {
-            service,
-            state: NnoSessionState {
-                common: CommonState::new(*region, aggregate.clone(), cfg, mode),
-                config,
-                engine: EngineReport::default(),
-            },
-        }
-    }
-
-    /// Snapshots the owned state (see [`LrSession::checkpoint`]).
-    pub fn checkpoint(&self) -> NnoSessionState {
-        self.state.clone()
-    }
-
-    /// Rebuilds a session from a checkpoint and a service handle.
-    pub fn resume(service: S, checkpoint: NnoSessionState) -> Self {
-        NnoSession {
-            service,
-            state: checkpoint,
-        }
-    }
-
-    /// `true` once the session will not advance further.
-    pub fn is_finished(&self) -> bool {
-        self.state.common.wave.finished
-    }
-
-    /// Advances a wave-mode session by one chunk round (see
-    /// [`LrSession::step`]).
-    pub fn step(&mut self) {
-        self.advance(Quantum::Round);
-    }
-
-    /// Advances a wave-mode session to the end of its current wave (see
-    /// [`LrSession::run_wave`]).
-    pub fn run_wave(&mut self) {
-        self.advance(Quantum::Wave);
-    }
-
-    /// Advances a wave-mode session by one `quantum`.
-    pub(crate) fn advance(&mut self, quantum: Quantum) {
-        assert!(
-            matches!(self.state.common.mode, Mode::Waves),
-            "step() drives wave-mode sessions; serial sessions use step_serial()"
-        );
-        if self.state.common.wave.finished {
-            return;
-        }
-        // lbs-lint: allow(ambient-time, reason = "wall-clock early-stop picks when to stop; the estimate at any stop point stays bit-identical (session_checkpoint tests)")
-        let started = std::time::Instant::now();
-        let NnoSessionState {
-            common,
-            config,
-            engine,
-        } = &mut self.state;
-        let service = &self.service;
-        let region = common.region;
-        let aggregate = common.aggregate.clone();
-        let is_ratio = common.is_ratio();
-        let counters = SharedEngineCounters::from_report(engine);
-        let config = &*config;
-        let driver = common.driver.clone();
-        driver.step(
-            quantum,
-            common.cfg.query_budget,
-            common.cfg.root_seed,
-            is_ratio,
-            common.cfg.wave_size,
-            &mut common.wave,
-            &mut (),
-            &|_| (),
-            &|_state, _index, rng| {
-                let metered = QueryCounter::new(service);
-                let (num, den) = NnoBaseline::sample_once(
-                    config, &metered, &region, &aggregate, &counters, rng,
-                )?;
-                Ok(SampleOutcome {
-                    numerator: num,
-                    denominator: den,
-                    queries: metered.taken(),
-                })
-            },
-            &|_, _| {},
-        );
-        *engine = counters.report();
-        common.apply_stop_rules(started.elapsed());
-    }
-
-    /// Advances a serial-mode session by one sample (see
-    /// [`LrSession::step_serial`]).
-    pub fn step_serial<R: Rng>(&mut self, rng: &mut R) {
-        let Mode::Serial { start_cost } = self.state.common.mode else {
-            panic!("step_serial() drives serial-mode sessions; wave sessions use step()");
-        };
-        if self.state.common.wave.finished {
-            return;
-        }
-        // lbs-lint: allow(ambient-time, reason = "wall-clock early-stop picks when to stop; the estimate at any stop point stays bit-identical (session_checkpoint tests)")
-        let started = std::time::Instant::now();
-        let budget_left = self
-            .state
-            .common
-            .cfg
-            .query_budget
-            .saturating_sub(self.service.queries_issued() - start_cost);
-        if budget_left == 0 {
-            self.state.common.wave.finished = true;
-            self.state.common.stop = Some(StopReason::BudgetSpent);
-            return;
-        }
-        let NnoSessionState {
-            common,
-            config,
-            engine,
-        } = &mut self.state;
-        let counters = SharedEngineCounters::from_report(engine);
-        let aggregate = common.aggregate.clone();
-        match NnoBaseline::sample_once(
-            config,
-            &self.service,
-            &common.region,
-            &aggregate,
-            &counters,
-            rng,
-        ) {
-            Ok((num, den)) => {
-                *engine = counters.report();
-                let ledger_cost = self.service.queries_issued() - start_cost;
-                let trace_every = config.trace_every;
-                common.push_serial_sample(num, den, ledger_cost, trace_every);
-                common.apply_stop_rules(started.elapsed());
-            }
-            Err(QueryError::BudgetExhausted { .. }) => {
-                *engine = counters.report();
-                common.wave.finished = true;
-                common.stop = Some(StopReason::ServiceExhausted);
-            }
-        }
-    }
-
-    /// Queries this session has spent so far.
-    pub fn queries_spent(&self) -> u64 {
-        match self.state.common.mode {
-            Mode::Serial { start_cost } => self.service.queries_issued() - start_cost,
-            Mode::Waves => self.state.common.wave.outcome.queries,
-        }
-    }
-
-    /// The anytime state of the run.
-    pub fn snapshot(&self) -> AnytimeSnapshot {
-        let queries = match self.state.common.mode {
-            Mode::Serial { .. } => Some(self.queries_spent()),
-            Mode::Waves => None,
-        };
-        self.state.common.snapshot(queries, self.state.engine)
-    }
-
-    /// The final (or current) [`Estimate`] (see [`LrSession::finalize`]).
-    pub fn finalize(&self) -> Result<Estimate, EstimateError> {
-        let mut est = self.state.common.finalize(self.queries_spent())?;
-        est.engine = self.state.engine;
-        Ok(est)
-    }
-
-    /// Stops the session without finishing its budget.
-    pub fn cancel(&mut self) {
-        self.state.common.cancel();
-    }
-
-    /// Starts a wave-mode session restricted to `stratum` (see
-    /// [`LrSession::new_stratum`]). The NNO draw restriction lives in
-    /// [`NnoConfig::draw_region`]; probabilities stay full-region.
-    pub(crate) fn new_stratum(
-        service: S,
-        region: &Rect,
-        stratum: Rect,
-        aggregate: &Aggregate,
-        mut config: NnoConfig,
-        cfg: SessionConfig,
-    ) -> Self {
-        config.draw_region = Some(stratum);
-        Self::with_mode(service, region, aggregate, config, cfg, Mode::Waves)
-    }
-
-    /// The raw driver accumulators (the combiner folds these).
-    pub(crate) fn outcome(&self) -> &DriverOutcome {
-        &self.state.common.wave.outcome
-    }
-
-    /// Raises the soft budget (see `CommonState::extend_budget`).
-    pub(crate) fn extend_budget(&mut self, new_budget: u64) {
-        self.state.common.extend_budget(new_budget);
-    }
-
-    /// Why the session stopped, once it has.
-    pub(crate) fn stop_reason(&self) -> Option<StopReason> {
-        self.state.common.stop
-    }
-
-    /// `true` while the last step ended inside a wave.
-    pub(crate) fn in_wave(&self) -> bool {
-        self.state.common.wave.in_wave()
-    }
+    let result = session.finalize();
+    *state = session.state.master;
+    result
 }
 
 // ---------------------------------------------------------------------------
@@ -1295,12 +662,12 @@ pub enum EstimationSession<S: LbsBackend> {
     /// An LR-LBS-AGG session.
     Lr(Box<LrSession<S>>),
     /// An LNR-LBS-AGG session.
-    Lnr(LnrSession<S>),
+    Lnr(Box<LnrSession<S>>),
     /// An LR-LBS-NNO baseline session.
-    Nno(NnoSession<S>),
+    Nno(Box<NnoSession<S>>),
     /// A stratified session composing per-stratum child sessions
     /// ([`crate::stratified::StratifiedSession`]).
-    Stratified(Box<crate::stratified::StratifiedSession<S>>),
+    Stratified(Box<StratifiedSession<S>>),
 }
 
 /// The owned state of any session kind — what
@@ -1308,87 +675,81 @@ pub enum EstimationSession<S: LbsBackend> {
 #[derive(Clone, Debug)]
 pub enum SessionCheckpoint {
     /// Checkpoint of an LR session.
-    Lr(Box<LrSessionState>),
+    Lr(Box<SessionState<LrLbsAggConfig>>),
     /// Checkpoint of an LNR session.
-    Lnr(Box<LnrSessionState>),
+    Lnr(Box<SessionState<LnrLbsAggConfig>>),
     /// Checkpoint of an NNO session.
-    Nno(Box<NnoSessionState>),
+    Nno(Box<SessionState<NnoConfig>>),
     /// Checkpoint of a stratified session.
-    Stratified(Box<crate::stratified::StratifiedSessionState>),
+    Stratified(Box<StratifiedSessionState>),
+}
+
+/// Forwards one call to whichever session an [`EstimationSession`] holds
+/// (every session type has the same inherent methods).
+macro_rules! dispatch {
+    ($session:expr, $s:ident => $call:expr) => {
+        match $session {
+            EstimationSession::Lr($s) => $call,
+            EstimationSession::Lnr($s) => $call,
+            EstimationSession::Nno($s) => $call,
+            EstimationSession::Stratified($s) => $call,
+        }
+    };
 }
 
 impl<S: LbsBackend> EstimationSession<S> {
+    /// Starts a flat session of `kind`.
+    pub fn new(
+        service: S,
+        region: &Rect,
+        aggregate: &Aggregate,
+        kind: EstimatorKind,
+        cfg: SessionConfig,
+    ) -> Self {
+        match kind {
+            EstimatorKind::Lr(c) => {
+                EstimationSession::Lr(Box::new(Session::new(service, region, aggregate, c, cfg)))
+            }
+            EstimatorKind::Lnr(c) => {
+                EstimationSession::Lnr(Box::new(Session::new(service, region, aggregate, c, cfg)))
+            }
+            EstimatorKind::Nno(c) => {
+                EstimationSession::Nno(Box::new(Session::new(service, region, aggregate, c, cfg)))
+            }
+        }
+    }
+
     /// `true` once the session will not advance further.
     pub fn is_finished(&self) -> bool {
-        match self {
-            EstimationSession::Lr(s) => s.is_finished(),
-            EstimationSession::Lnr(s) => s.is_finished(),
-            EstimationSession::Nno(s) => s.is_finished(),
-            EstimationSession::Stratified(s) => s.is_finished(),
-        }
+        dispatch!(self, s => s.is_finished())
     }
 
     /// Advances the session by one chunk round (one chunk per worker
     /// thread) — the scheduler's quantum. Bit-identical to stepping by
     /// whole waves.
     pub fn step(&mut self) {
-        match self {
-            EstimationSession::Lr(s) => s.step(),
-            EstimationSession::Lnr(s) => s.step(),
-            EstimationSession::Nno(s) => s.step(),
-            EstimationSession::Stratified(s) => s.step(),
-        }
+        dispatch!(self, s => s.step())
     }
 
     /// Advances the session to the end of its current wave — the batch
     /// quantum, with chunks claimed dynamically across all worker threads.
     pub fn run_wave(&mut self) {
-        match self {
-            EstimationSession::Lr(s) => s.run_wave(),
-            EstimationSession::Lnr(s) => s.run_wave(),
-            EstimationSession::Nno(s) => s.run_wave(),
-            EstimationSession::Stratified(s) => s.run_wave(),
-        }
+        dispatch!(self, s => s.run_wave())
     }
 
     /// The anytime state of the run.
     pub fn snapshot(&self) -> AnytimeSnapshot {
-        match self {
-            EstimationSession::Lr(s) => s.snapshot(),
-            EstimationSession::Lnr(s) => s.snapshot(),
-            EstimationSession::Nno(s) => s.snapshot(),
-            EstimationSession::Stratified(s) => s.snapshot(),
-        }
+        dispatch!(self, s => s.snapshot())
     }
 
     /// The final (or current) [`Estimate`].
     pub fn finalize(&self) -> Result<Estimate, EstimateError> {
-        match self {
-            EstimationSession::Lr(s) => s.finalize(),
-            EstimationSession::Lnr(s) => s.finalize(),
-            EstimationSession::Nno(s) => s.finalize(),
-            EstimationSession::Stratified(s) => s.finalize(),
-        }
+        dispatch!(self, s => s.finalize())
     }
 
     /// Stops the session without finishing its budget.
     pub fn cancel(&mut self) {
-        match self {
-            EstimationSession::Lr(s) => s.cancel(),
-            EstimationSession::Lnr(s) => s.cancel(),
-            EstimationSession::Nno(s) => s.cancel(),
-            EstimationSession::Stratified(s) => s.cancel(),
-        }
-    }
-
-    /// Queries this session has spent so far.
-    pub fn queries_spent(&self) -> u64 {
-        match self {
-            EstimationSession::Lr(s) => s.queries_spent(),
-            EstimationSession::Lnr(s) => s.queries_spent(),
-            EstimationSession::Nno(s) => s.queries_spent(),
-            EstimationSession::Stratified(s) => s.queries_spent(),
-        }
+        dispatch!(self, s => s.cancel())
     }
 
     /// Snapshots the entire owned state (everything but the service).
@@ -1407,17 +768,17 @@ impl<S: LbsBackend> EstimationSession<S> {
     pub fn resume(service: S, checkpoint: SessionCheckpoint) -> Self {
         match checkpoint {
             SessionCheckpoint::Lr(state) => {
-                EstimationSession::Lr(Box::new(LrSession::resume(service, *state)))
+                EstimationSession::Lr(Box::new(Session::resume(service, *state)))
             }
             SessionCheckpoint::Lnr(state) => {
-                EstimationSession::Lnr(LnrSession::resume(service, *state))
+                EstimationSession::Lnr(Box::new(Session::resume(service, *state)))
             }
             SessionCheckpoint::Nno(state) => {
-                EstimationSession::Nno(NnoSession::resume(service, *state))
+                EstimationSession::Nno(Box::new(Session::resume(service, *state)))
             }
-            SessionCheckpoint::Stratified(state) => EstimationSession::Stratified(Box::new(
-                crate::stratified::StratifiedSession::resume(service, *state),
-            )),
+            SessionCheckpoint::Stratified(state) => {
+                EstimationSession::Stratified(Box::new(StratifiedSession::resume(service, *state)))
+            }
         }
     }
 }

@@ -54,28 +54,15 @@ use lbs_geom::{ConvexPolygon, Rect};
 use lbs_service::LbsBackend;
 
 use crate::agg::Aggregate;
-use crate::baseline::NnoConfig;
 use crate::driver::{stratum_seed, Quantum};
 use crate::engine_stats::EngineReport;
 use crate::estimate::{Estimate, EstimateError};
-use crate::lnr::LnrLbsAggConfig;
-use crate::lr::LrLbsAggConfig;
+use crate::sampling::QuerySampler;
 use crate::session::{
-    AnytimeSnapshot, LnrSession, LnrSessionState, LrSession, LrSessionState, NnoSession,
-    NnoSessionState, SessionConfig, StopReason,
+    AnytimeSnapshot, EstimatorKind, SampleEstimator, Session, SessionConfig, SessionState,
+    StopReason,
 };
 use crate::stats::Summary;
-
-/// Which estimator runs inside every stratum.
-#[derive(Clone, Debug)]
-pub enum StratumEstimator {
-    /// LR-LBS-AGG with this configuration.
-    Lr(LrLbsAggConfig),
-    /// LNR-LBS-AGG with this configuration.
-    Lnr(LnrLbsAggConfig),
-    /// The LR-LBS-NNO baseline with this configuration.
-    Nno(NnoConfig),
-}
 
 /// How the query budget is split across strata.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -88,135 +75,21 @@ pub enum AllocationPolicy {
     Neyman,
 }
 
-/// The base-design mass of `rect` within `region` for the given estimator:
-/// the density mass when the estimator samples from a weighted grid, the
-/// area fraction otherwise. This is the Horvitz–Thompson stratum weight —
-/// it must match the design the *probabilities* use, not the partitioning
-/// heuristic.
-fn stratum_weight(estimator: &StratumEstimator, region: &Rect, rect: &Rect) -> f64 {
-    let grid = match estimator {
-        StratumEstimator::Lr(c) => c.weighted_sampler.as_ref(),
-        // The LNR sampler only honours the weighted grid at h == 1 (the
-        // same condition `LnrSession::with_mode` applies).
-        StratumEstimator::Lnr(c) if c.h == 1 => c.weighted_sampler.as_ref(),
-        _ => None,
-    };
-    match grid {
-        Some(g) => g.integrate_convex(&ConvexPolygon::from_rect(rect)),
-        None => rect.area() / region.area(),
+/// The base-design mass of `rect` within `region` under the estimator's
+/// base design `design`: the density mass when it samples from a weighted
+/// grid, the area fraction otherwise. This is the Horvitz–Thompson stratum
+/// weight — it must match the design the *probabilities* use, not the
+/// partitioning heuristic.
+fn stratum_weight(design: &QuerySampler, region: &Rect, rect: &Rect) -> f64 {
+    match design {
+        QuerySampler::Weighted { grid } => grid.integrate_convex(&ConvexPolygon::from_rect(rect)),
+        _ => rect.area() / region.area(),
     }
 }
 
-/// One stratum's child session. A flat enum (rather than a nested
-/// [`crate::session::EstimationSession`]) keeps the monomorphization finite:
-/// children always run over `Arc<S>`, never over another stratified layer.
-#[derive(Debug)]
-enum StratumChild<S: LbsBackend> {
-    Lr(Box<LrSession<Arc<S>>>),
-    Lnr(Box<LnrSession<Arc<S>>>),
-    Nno(Box<NnoSession<Arc<S>>>),
-}
-
-impl<S: LbsBackend> StratumChild<S> {
-    fn advance(&mut self, quantum: Quantum) {
-        match self {
-            StratumChild::Lr(s) => s.advance(quantum),
-            StratumChild::Lnr(s) => s.advance(quantum),
-            StratumChild::Nno(s) => s.advance(quantum),
-        }
-    }
-
-    fn in_wave(&self) -> bool {
-        match self {
-            StratumChild::Lr(s) => s.in_wave(),
-            StratumChild::Lnr(s) => s.in_wave(),
-            StratumChild::Nno(s) => s.in_wave(),
-        }
-    }
-
-    fn is_finished(&self) -> bool {
-        match self {
-            StratumChild::Lr(s) => s.is_finished(),
-            StratumChild::Lnr(s) => s.is_finished(),
-            StratumChild::Nno(s) => s.is_finished(),
-        }
-    }
-
-    fn snapshot(&self) -> AnytimeSnapshot {
-        match self {
-            StratumChild::Lr(s) => s.snapshot(),
-            StratumChild::Lnr(s) => s.snapshot(),
-            StratumChild::Nno(s) => s.snapshot(),
-        }
-    }
-
-    fn finalize(&self) -> Result<Estimate, EstimateError> {
-        match self {
-            StratumChild::Lr(s) => s.finalize(),
-            StratumChild::Lnr(s) => s.finalize(),
-            StratumChild::Nno(s) => s.finalize(),
-        }
-    }
-
-    fn cancel(&mut self) {
-        match self {
-            StratumChild::Lr(s) => s.cancel(),
-            StratumChild::Lnr(s) => s.cancel(),
-            StratumChild::Nno(s) => s.cancel(),
-        }
-    }
-
-    fn queries_spent(&self) -> u64 {
-        match self {
-            StratumChild::Lr(s) => s.queries_spent(),
-            StratumChild::Lnr(s) => s.queries_spent(),
-            StratumChild::Nno(s) => s.queries_spent(),
-        }
-    }
-
-    fn outcome(&self) -> &crate::driver::DriverOutcome {
-        match self {
-            StratumChild::Lr(s) => s.outcome(),
-            StratumChild::Lnr(s) => s.outcome(),
-            StratumChild::Nno(s) => s.outcome(),
-        }
-    }
-
-    fn extend_budget(&mut self, new_budget: u64) {
-        match self {
-            StratumChild::Lr(s) => s.extend_budget(new_budget),
-            StratumChild::Lnr(s) => s.extend_budget(new_budget),
-            StratumChild::Nno(s) => s.extend_budget(new_budget),
-        }
-    }
-
-    fn stop_reason(&self) -> Option<StopReason> {
-        match self {
-            StratumChild::Lr(s) => s.stop_reason(),
-            StratumChild::Lnr(s) => s.stop_reason(),
-            StratumChild::Nno(s) => s.stop_reason(),
-        }
-    }
-
-    fn checkpoint(&self) -> StratumCheckpoint {
-        match self {
-            StratumChild::Lr(s) => StratumCheckpoint::Lr(Box::new(s.checkpoint())),
-            StratumChild::Lnr(s) => StratumCheckpoint::Lnr(Box::new(s.checkpoint())),
-            StratumChild::Nno(s) => StratumCheckpoint::Nno(Box::new(s.checkpoint())),
-        }
-    }
-}
-
-/// Checkpoint of one stratum child (see [`StratifiedSessionState`]).
-#[derive(Clone, Debug)]
-pub enum StratumCheckpoint {
-    /// Checkpoint of an LR child.
-    Lr(Box<LrSessionState>),
-    /// Checkpoint of an LNR child.
-    Lnr(Box<LnrSessionState>),
-    /// Checkpoint of an NNO child.
-    Nno(Box<NnoSessionState>),
-}
+/// One stratum's child session: a plain [`Session`] over a shared handle to
+/// the service, its draws restricted to the stratum.
+type Child<S> = Session<EstimatorKind, Arc<S>>;
 
 /// Where a stratified session is in its budget-allocation protocol.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -253,7 +126,7 @@ struct SharedState {
 /// [`StratifiedSession::resume`] restores.
 #[derive(Clone, Debug)]
 pub struct StratifiedSessionState {
-    children: Vec<StratumCheckpoint>,
+    children: Vec<SessionState<EstimatorKind>>,
     shared: SharedState,
 }
 
@@ -262,12 +135,12 @@ pub struct StratifiedSessionState {
 /// combiner (module docs have the estimator and the determinism contract).
 #[derive(Debug)]
 pub struct StratifiedSession<S: LbsBackend> {
-    children: Vec<StratumChild<S>>,
+    children: Vec<Child<S>>,
     shared: SharedState,
 }
 
 impl<S: LbsBackend> StratifiedSession<S> {
-    /// Starts a stratified wave-mode session over the disjoint `strata`
+    /// Starts a stratified session over the disjoint `strata`
     /// (produced by a [`lbs_data::Stratifier`]). `cfg` carries the *total*
     /// budget, the root seed, and the early-stop rules; children receive
     /// deterministic budget shares and derived seeds.
@@ -279,7 +152,7 @@ impl<S: LbsBackend> StratifiedSession<S> {
         service: S,
         region: &Rect,
         aggregate: &Aggregate,
-        estimator: StratumEstimator,
+        estimator: EstimatorKind,
         strata: Vec<Stratum>,
         allocation: AllocationPolicy,
         cfg: SessionConfig,
@@ -290,9 +163,10 @@ impl<S: LbsBackend> StratifiedSession<S> {
         );
         let service = Arc::new(service);
         let count = strata.len();
+        let design = estimator.design(&service, region);
         let weights: Vec<f64> = strata
             .iter()
-            .map(|s| stratum_weight(&estimator, region, &s.rect))
+            .map(|s| stratum_weight(&design, region, &s.rect))
             .collect();
 
         let (phase, budgets) = if count == 1 {
@@ -330,36 +204,14 @@ impl<S: LbsBackend> StratifiedSession<S> {
                         max_wall_ms: None,
                     }
                 };
-                match &estimator {
-                    StratumEstimator::Lr(c) => StratumChild::Lr(Box::new(LrSession::new_stratum(
-                        Arc::clone(&service),
-                        region,
-                        stratum.rect,
-                        aggregate,
-                        c.clone(),
-                        child_cfg,
-                    ))),
-                    StratumEstimator::Lnr(c) => {
-                        StratumChild::Lnr(Box::new(LnrSession::new_stratum(
-                            Arc::clone(&service),
-                            region,
-                            stratum.rect,
-                            aggregate,
-                            c.clone(),
-                            child_cfg,
-                        )))
-                    }
-                    StratumEstimator::Nno(c) => {
-                        StratumChild::Nno(Box::new(NnoSession::new_stratum(
-                            Arc::clone(&service),
-                            region,
-                            stratum.rect,
-                            aggregate,
-                            c.clone(),
-                            child_cfg,
-                        )))
-                    }
-                }
+                Session::new(
+                    Arc::clone(&service),
+                    region,
+                    aggregate,
+                    estimator.clone(),
+                    child_cfg,
+                )
+                .restricted_to(stratum.rect)
             })
             .collect();
 
@@ -570,11 +422,6 @@ impl<S: LbsBackend> StratifiedSession<S> {
         (value, value.abs() * rel.sqrt(), samples)
     }
 
-    /// Total queries spent across all strata.
-    pub fn queries_spent(&self) -> u64 {
-        self.children.iter().map(|c| c.queries_spent()).sum()
-    }
-
     /// The anytime state of the combined run. `queries` and `waves` sum
     /// over strata; the engine counters fold across children.
     pub fn snapshot(&self) -> AnytimeSnapshot {
@@ -629,7 +476,7 @@ impl<S: LbsBackend> StratifiedSession<S> {
             std_error,
             ci95: (value - 1.96 * std_error, value + 1.96 * std_error),
             samples,
-            query_cost: self.queries_spent(),
+            query_cost: self.children.iter().map(|c| c.outcome().queries).sum(),
             trace: Vec::new(),
             per_sample: Summary {
                 count: samples,
@@ -671,17 +518,7 @@ impl<S: LbsBackend> StratifiedSession<S> {
         let children = state
             .children
             .into_iter()
-            .map(|child| match child {
-                StratumCheckpoint::Lr(s) => {
-                    StratumChild::Lr(Box::new(LrSession::resume(Arc::clone(&service), *s)))
-                }
-                StratumCheckpoint::Lnr(s) => {
-                    StratumChild::Lnr(Box::new(LnrSession::resume(Arc::clone(&service), *s)))
-                }
-                StratumCheckpoint::Nno(s) => {
-                    StratumChild::Nno(Box::new(NnoSession::resume(Arc::clone(&service), *s)))
-                }
-            })
+            .map(|child| Session::resume(Arc::clone(&service), child))
             .collect();
         StratifiedSession {
             children,

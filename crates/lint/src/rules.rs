@@ -160,8 +160,10 @@ pub const RULES: &[Rule] = &[
                   estimates are bit-identical at any thread count, at any \
                   checkpoint/resume cut, and across the flat and stratified paths. \
                   A direct StdRng::seed_from_u64 call inside sampling code (the \
-                  modules that define `sample_once` or `step_wave`) bypasses that \
-                  chain: two strata or two samples can end up on correlated streams, \
+                  modules that name `sample_once`, `SampleEstimator` or \
+                  `stratum_seed`: the estimators, the generic session and the \
+                  stratified combiner) bypasses that chain: two strata or two \
+                  samples can end up on correlated streams, \
                   and a refactor of the ad-hoc seed expression changes every \
                   committed reference number. The driver module, the one sanctioned \
                   home of the derivation, is allowlisted; test modules are exempt \
@@ -378,13 +380,17 @@ fn check_ambient_rng(tokens: &[Token]) -> Vec<RawFinding> {
     findings
 }
 
+/// Identifiers that mark a module as sampling code: the per-sample body,
+/// the trait a session runs, and the per-stratum seed helper.
+const SAMPLING_IDENTS: &[&str] = &["sample_once", "SampleEstimator", "stratum_seed"];
+
 fn check_stray_seed_derivation(tokens: &[Token]) -> Vec<RawFinding> {
-    // Gate: the hazard lives in the modules that draw estimator samples —
-    // recognizable by their `sample_once`/`step_wave` entry points. Other
-    // code (generators, fixtures, probes) seeds RNGs legitimately.
+    // Gate: the hazard lives in the modules that draw estimator samples or
+    // derive stratum streams. Other code (generators, fixtures, probes)
+    // seeds RNGs legitimately.
     if !tokens
         .iter()
-        .any(|t| t.kind == TokenKind::Ident && (t.text == "sample_once" || t.text == "step_wave"))
+        .any(|t| t.kind == TokenKind::Ident && SAMPLING_IDENTS.contains(&t.text.as_str()))
     {
         return Vec::new();
     }
@@ -620,18 +626,26 @@ mod tests {
 
     #[test]
     fn stray_seed_derivation_gates_on_sampling_modules() {
-        // No sample_once/step_wave in scope: inline seeding is fine.
+        // No sampling identifier in scope: inline seeding is fine.
         assert!(run(
             "stray-seed-derivation",
             "let rng = StdRng::seed_from_u64(seed);"
         )
         .is_empty());
-        // Inside a sampling module, an inline seed bypasses the derivation
-        // chain and is a finding.
+        // Inside a sampling module — an estimator, the generic session, the
+        // stratified combiner — an inline seed bypasses the derivation chain
+        // and is a finding.
         let src = "fn sample_once() { let rng = StdRng::seed_from_u64(seed ^ 7); }";
         assert_eq!(run("stray-seed-derivation", src).len(), 1);
+        for key in [
+            "impl SampleEstimator for C {}",
+            "let s = stratum_seed(r, h, n);",
+        ] {
+            let src = format!("{key}\nlet rng = StdRng::seed_from_u64(seed ^ 7);");
+            assert_eq!(run("stray-seed-derivation", &src).len(), 1, "{key}");
+        }
         // Fixture seeding after the test-module boundary is exempt.
-        let src_with_tests = "fn step_wave() {}\n\
+        let src_with_tests = "fn stratum_seed() {}\n\
                               #[cfg(test)]\n\
                               mod tests { fn f() { let r = StdRng::seed_from_u64(1); } }";
         assert!(run("stray-seed-derivation", src_with_tests).is_empty());

@@ -69,6 +69,7 @@ fn positive_fixtures_have_exact_finding_counts() {
     assert_eq!(lint_fixture("ambient_time_pos.rs").len(), 2);
     assert_eq!(lint_fixture("ambient_rng_pos.rs").len(), 3);
     assert_eq!(lint_fixture("unsafe_block_pos.rs").len(), 1);
+    assert_eq!(lint_fixture("stray_seed_derivation_pos.rs").len(), 2);
     assert_eq!(lint_fixture("nondet_debug_fmt_pos.rs").len(), 2);
     assert_eq!(lint_fixture("cache_key_float_pos.rs").len(), 3); // to_bits + from_bits + as u64
     assert_eq!(

@@ -42,9 +42,6 @@ use crate::config::ServiceConfig;
 use crate::interface::{QueryError, QueryResponse};
 
 /// The restrictive public query interface of a location based service.
-///
-/// Previously named `LbsInterface`; that name remains available as an alias
-/// (`lbs_service::LbsInterface`) for existing code.
 pub trait LbsBackend: Send + Sync {
     /// Issues a kNN point query at `location` and returns the ranked answer.
     ///

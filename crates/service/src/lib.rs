@@ -52,6 +52,3 @@ pub use config::{IndexKind, Ranking, ReturnMode, ServiceConfig};
 pub use counter::QueryCounter;
 pub use interface::{PassThroughFilter, QueryError, QueryResponse, ReturnedTuple};
 pub use service::SimulatedLbs;
-
-/// Backwards-compatible alias of [`LbsBackend`]'s previous name.
-pub use backend::LbsBackend as LbsInterface;

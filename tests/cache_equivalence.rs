@@ -202,7 +202,6 @@ fn checkpoint_resume_cuts_through_a_warm_cache_stay_bit_identical() {
             region,
             &Aggregate::count_all(),
             LrLbsAggConfig::default(),
-            lbs::core::lr::History::new(),
             SessionConfig::new(budget, seed).with_wave_size(8),
         );
         let mut waves = 0u64;

@@ -3,14 +3,15 @@
 //! early stopping, and answer-preservation of the pluggable index backends.
 
 use lbs::core::{
-    Aggregate, Estimate, EstimationSession, LnrLbsAggConfig, LnrSession, LrLbsAgg, LrLbsAggConfig,
-    LrSession, SampleDriver, SessionCheckpoint, SessionConfig, StopReason,
+    Aggregate, Estimate, EstimationSession, LnrLbsAgg, LnrLbsAggConfig, LnrSession, LrLbsAgg,
+    LrLbsAggConfig, LrSession, NnoBaseline, NnoConfig, SampleDriver, SessionCheckpoint,
+    SessionConfig, StopReason,
 };
 use lbs::data::{generators::ScenarioBuilder, Dataset};
 use lbs::geom::Rect;
 use lbs::service::{IndexKind, LbsBackend, ServiceConfig, SimulatedLbs};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 fn region() -> Rect {
     Rect::from_bounds(0.0, 0.0, 200.0, 200.0)
@@ -50,7 +51,7 @@ fn thread_counts() -> Vec<usize> {
     counts
 }
 
-/// Runs an LR wave-mode session to completion, checkpointing and resuming
+/// Runs an LR session to completion, checkpointing and resuming
 /// at wave index `interrupt_at` (on the same service, like a process that
 /// snapshots its state, dies, and is restarted against the same backend).
 fn lr_run_with_interruption(
@@ -70,7 +71,6 @@ fn lr_run_with_interruption(
         &region(),
         &Aggregate::count_all(),
         LrLbsAggConfig::default(),
-        lbs::core::lr::History::new(),
         cfg,
     );
     let mut waves = 0u64;
@@ -284,7 +284,6 @@ fn lr_checkpoint_inside_a_wave_carries_pending_forks() {
                 &region(),
                 &Aggregate::count_all(),
                 LrLbsAggConfig::default(),
-                lbs::core::lr::History::new(),
                 SessionConfig::new(900, 2016).with_threads(threads),
             )))
         });
@@ -300,13 +299,13 @@ fn lnr_checkpoint_inside_a_wave_is_bit_identical() {
     };
     let mut services = Vec::new();
     check_mid_wave_cuts(&d, ServiceConfig::lnr_lbs(8), &mut services, |svc| {
-        EstimationSession::Lnr(LnrSession::new(
+        EstimationSession::Lnr(Box::new(LnrSession::new(
             svc,
             &region(),
             &Aggregate::count_all(),
             config.clone(),
             SessionConfig::new(600, 13).with_wave_size(24),
-        ))
+        )))
     });
 }
 
@@ -322,7 +321,6 @@ fn type_erased_sessions_checkpoint_through_the_enum() {
             &region(),
             &Aggregate::count_restaurants(),
             LrLbsAggConfig::default(),
-            lbs::core::lr::History::new(),
             SessionConfig::new(400, 5).with_wave_size(8),
         )))
     };
@@ -356,7 +354,6 @@ fn anytime_snapshots_converge_and_stop_rules_fire() {
             &region(),
             &Aggregate::count_all(),
             LrLbsAggConfig::default(),
-            lbs::core::lr::History::new(),
             SessionConfig::new(100_000, 3)
                 .with_wave_size(64)
                 .with_target_ci_halfwidth(60.0),
@@ -399,34 +396,133 @@ fn anytime_snapshots_converge_and_stop_rules_fire() {
     assert_eq!(by_waves.value.to_bits(), snap.value.to_bits());
 }
 
+/// The session the serial `estimate(…, &mut rng)` facades run: one thread,
+/// one-sample waves, seeded by the caller's next `u64`.
+fn serial_config(budget: u64, rng: &mut StdRng) -> SessionConfig {
+    SessionConfig::new(budget, rng.next_u64()).with_wave_size(1)
+}
+
 #[test]
-fn serial_estimate_is_a_thin_loop_over_sessions() {
-    // The batch facade and a hand-driven serial session must agree bitwise
-    // when fed the same RNG stream.
+fn serial_estimate_equals_a_one_thread_one_sample_wave_session() {
+    // Two facade calls on one estimator against two hand-built sessions fed
+    // from a clone of the same RNG, the second carrying the first's history:
+    // bit for bit, service ledger included.
     let d = dataset(90, 47);
     let service = SimulatedLbs::new(d.clone(), ServiceConfig::lr_lbs(8));
     let mut estimator = LrLbsAgg::new(LrLbsAggConfig::default());
     let mut rng = StdRng::seed_from_u64(13);
-    let batch = estimator
-        .estimate(&service, &region(), &Aggregate::count_all(), 300, &mut rng)
-        .unwrap();
+    let mut manual_rng = rng.clone();
+    let facade: Vec<Estimate> = (0..2)
+        .map(|_| {
+            estimator
+                .estimate(&service, &region(), &Aggregate::count_all(), 300, &mut rng)
+                .unwrap()
+        })
+        .collect();
 
-    let service2 = SimulatedLbs::new(d, ServiceConfig::lr_lbs(8));
-    let mut rng = StdRng::seed_from_u64(13);
-    let mut session = LrSession::new_serial(
-        &service2,
+    let service2 = SimulatedLbs::new(d.clone(), ServiceConfig::lr_lbs(8));
+    let mut history = lbs::core::lr::History::new();
+    let mut manual = Vec::new();
+    for _ in 0..2 {
+        let mut session = LrSession::with_state(
+            &service2,
+            &region(),
+            &Aggregate::count_all(),
+            LrLbsAggConfig::default(),
+            history,
+            serial_config(300, &mut manual_rng),
+        );
+        while !session.is_finished() {
+            session.step();
+        }
+        manual.push(session.finalize().unwrap());
+        history = session.into_history();
+    }
+    for (call, (a, b)) in facade.iter().zip(&manual).enumerate() {
+        assert_eq!(fingerprint(a), fingerprint(b), "call {call}");
+        assert_eq!(a.trace, b.trace, "call {call}");
+        assert_eq!(a.engine, b.engine, "call {call}");
+        assert_eq!(a.trace.len() as u64, a.samples, "one trace point a sample");
+    }
+    assert_eq!(service.queries_issued(), service2.queries_issued());
+    assert_eq!(estimator.history().len(), history.len());
+    assert_eq!(rng.next_u64(), manual_rng.next_u64(), "one draw per call");
+
+    // The second call really starts from the first call's history: a cold
+    // session on the same seed explores differently.
+    let service3 = SimulatedLbs::new(d, ServiceConfig::lr_lbs(8));
+    let mut seeds = StdRng::seed_from_u64(13);
+    seeds.next_u64();
+    let mut cold = LrSession::new(
+        &service3,
         &region(),
         &Aggregate::count_all(),
         LrLbsAggConfig::default(),
-        lbs::core::lr::History::new(),
-        300,
+        serial_config(300, &mut seeds),
     );
-    while !session.is_finished() {
-        session.step_serial(&mut rng);
+    while !cold.is_finished() {
+        cold.step();
     }
-    let manual = session.finalize().unwrap();
-    assert_eq!(fingerprint(&batch), fingerprint(&manual));
-    assert_eq!(service.queries_issued(), service2.queries_issued());
+    assert_ne!(cold.finalize().unwrap().engine, facade[1].engine);
+}
+
+#[test]
+fn serial_estimate_overshoots_its_budget_by_less_than_one_sample() {
+    // The serial facades check the budget after every sample, so only the
+    // sample in flight can overshoot it: `budget ≤ query_cost` and
+    // `query_cost − budget` stays below the costliest sample of the run.
+    let d = dataset(120, 53);
+    let lr = SimulatedLbs::new(d.clone(), ServiceConfig::lr_lbs(10));
+    let lnr = SimulatedLbs::new(d, ServiceConfig::lnr_lbs(10));
+    let agg = Aggregate::count_all();
+    let mut rng = StdRng::seed_from_u64(59);
+    let lnr_config = LnrLbsAggConfig {
+        delta: 0.3,
+        ..LnrLbsAggConfig::default()
+    };
+    let runs = [
+        (
+            "LR",
+            1_500,
+            LrLbsAgg::new(LrLbsAggConfig::default())
+                .estimate(&lr, &region(), &agg, 1_500, &mut rng)
+                .unwrap(),
+        ),
+        (
+            "LNR",
+            2_000,
+            LnrLbsAgg::new(lnr_config)
+                .estimate(&lnr, &region(), &agg, 2_000, &mut rng)
+                .unwrap(),
+        ),
+        (
+            "NNO",
+            1_500,
+            NnoBaseline::new(NnoConfig::default())
+                .estimate(&lr, &region(), &agg, 1_500, &mut rng)
+                .unwrap(),
+        ),
+    ];
+    for (name, budget, out) in runs {
+        assert_eq!(out.trace.len() as u64, out.samples, "{name}");
+        let mut spent = 0;
+        let mut largest = 0;
+        for point in &out.trace {
+            largest = largest.max(point.query_cost - spent);
+            spent = point.query_cost;
+        }
+        assert_eq!(spent, out.query_cost, "{name}");
+        assert!(
+            out.query_cost >= budget,
+            "{name}: {} < {budget}",
+            out.query_cost
+        );
+        assert!(
+            out.query_cost - budget < largest,
+            "{name}: spent {} on a budget of {budget}; the costliest sample took {largest}",
+            out.query_cost
+        );
+    }
 }
 
 #[test]

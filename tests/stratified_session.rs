@@ -4,8 +4,8 @@
 //! combined estimate does not depend on the thread count.
 
 use lbs::core::{
-    Aggregate, AllocationPolicy, Estimate, LrLbsAggConfig, LrSession, SessionConfig,
-    StratifiedSession, StratumEstimator,
+    Aggregate, AllocationPolicy, Estimate, EstimatorKind, LrLbsAggConfig, LrSession, SessionConfig,
+    StratifiedSession,
 };
 use lbs::data::{generators::ScenarioBuilder, Dataset, DensityGrid, Stratifier};
 use lbs::geom::Rect;
@@ -58,7 +58,7 @@ fn stratified_session(
         service,
         &region(),
         &Aggregate::count_all(),
-        StratumEstimator::Lr(LrLbsAggConfig::default()),
+        EstimatorKind::Lr(LrLbsAggConfig::default()),
         strata,
         allocation,
         cfg,
@@ -78,7 +78,6 @@ fn single_stratum_is_bitwise_equal_to_the_flat_session() {
             &region(),
             &Aggregate::count_all(),
             LrLbsAggConfig::default(),
-            lbs::core::lr::History::new(),
             cfg.clone(),
         );
         while !flat.is_finished() {
