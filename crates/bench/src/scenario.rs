@@ -875,6 +875,10 @@ pub struct Workload {
     pub region: Rect,
     /// Service interface configuration.
     pub service_config: ServiceConfig,
+    /// The simulated service over `dataset` (ids, attributes, ranking
+    /// locations and spatial index), built once: every backend is a copy of
+    /// it charging the budget it was handed.
+    service: SimulatedLbs,
     /// The aggregate to estimate.
     pub aggregate: Aggregate,
     /// Ground truth of the aggregate (known because we generated the data —
@@ -936,12 +940,15 @@ pub fn build_workload(scenario: &Scenario, ctx: &ScenarioContext) -> Result<Work
     let service_config = build_service_config(id, interface)?;
     let aggregate = build_aggregate(id, aggregate_spec)?;
     let truth = aggregate.ground_truth(&dataset, &region);
+    let dataset = Arc::new(dataset);
+    let service = SimulatedLbs::over(dataset.clone(), service_config.clone());
     Ok(Workload {
         id: id.clone(),
         title: scenario.title.clone().unwrap_or_else(|| id.clone()),
-        dataset: Arc::new(dataset),
+        dataset,
         region,
         service_config,
+        service,
         aggregate,
         truth,
         estimator: estimator.clone(),
@@ -990,19 +997,21 @@ impl Workload {
         }
     }
 
-    /// Builds a fresh service plus decorator stack. One per repetition: the
-    /// budget is per-repetition, so a hard `query_limit` must meter each
-    /// repetition separately, and decorator ordinals reset too.
+    /// A backend over the workload's service with a fresh budget and fresh
+    /// decorators. One per repetition: the budget is per-repetition, so a
+    /// hard `query_limit` must meter each repetition separately, and
+    /// decorator ordinals reset too. The index is shared, not rebuilt.
     pub fn backend(&self) -> Box<dyn LbsBackend> {
         self.backend_with_budget(self.fresh_budget())
     }
 
-    /// Builds a fresh service charging an externally-owned [`QueryBudget`] —
-    /// how the `lbs-server` scheduler points every job of a tenant at that
-    /// tenant's shared quota. A hard limit on the passed budget supersedes
-    /// the scenario's own `query_limit`. When the scenario enables a cache,
-    /// a fresh (run-private) [`AnswerCache`] is attached; callers holding a
-    /// longer-lived cache use [`Workload::backend_with_budget_and_cache`].
+    /// A backend over the workload's service charging an externally-owned
+    /// [`QueryBudget`] — how the `lbs-server` scheduler points every job of
+    /// a tenant at that tenant's shared quota. A hard limit on the passed
+    /// budget supersedes the scenario's own `query_limit`. When the
+    /// scenario enables a cache, a fresh (run-private) [`AnswerCache`] is
+    /// attached; callers holding a longer-lived cache use
+    /// [`Workload::backend_with_budget_and_cache`].
     pub fn backend_with_budget(&self, budget: Arc<QueryBudget>) -> Box<dyn LbsBackend> {
         let cache = match self.cache_mode() {
             CacheMode::Off => None,
@@ -1011,31 +1020,31 @@ impl Workload {
         self.backend_with_budget_and_cache(budget, cache)
     }
 
-    /// Builds a fresh service charging `budget`, with answers cached in the
-    /// explicitly-passed `cache` (`None` disables caching regardless of the
-    /// spec) — how a shared cache outlives any single repetition or tenant
-    /// job.
+    /// A backend over the workload's service charging `budget`, with
+    /// answers cached in the explicitly-passed `cache` (`None` disables
+    /// caching regardless of the spec) — how a shared cache outlives any
+    /// single repetition or tenant job.
     pub fn backend_with_budget_and_cache(
         &self,
         budget: Arc<QueryBudget>,
         cache: Option<Arc<AnswerCache>>,
     ) -> Box<dyn LbsBackend> {
-        self.backend_over_dataset(self.dataset.clone(), budget, cache)
+        self.backend_over(&self.service, budget, cache)
     }
 
-    /// Fully-general backend constructor: an explicit dataset (the mutating
-    /// declarative runner evolves it between repetitions), budget, and
-    /// optional cache. The cache's placement follows the spec's
+    /// Fully-general backend constructor: an explicit built service (the
+    /// mutating declarative runner rebuilds one after each mutation),
+    /// budget, and optional cache. The cache's placement follows the spec's
     /// `cache_order`: outermost by default (hits skip every decorator),
     /// innermost-but-one with `"cache_inside"` (every call pays the
     /// decorators' cost).
-    pub fn backend_over_dataset(
+    fn backend_over(
         &self,
-        dataset: Arc<Dataset>,
+        service: &SimulatedLbs,
         budget: Arc<QueryBudget>,
         cache: Option<Arc<AnswerCache>>,
     ) -> Box<dyn LbsBackend> {
-        let service = SimulatedLbs::with_budget(dataset, self.service_config.clone(), budget);
+        let service = service.with_budget(budget);
         let spec = self.backend_spec.as_ref();
         let Some(cache) = cache else {
             return decorate_boxed(Box::new(service), spec);
@@ -1179,7 +1188,7 @@ fn run_declarative(scenario: &Scenario, ctx: &ScenarioContext) -> Result<Experim
         _ => None,
     };
     let mut private_stats = CacheStats::default();
-    let mut current = workload.dataset.clone();
+    let mut current = workload.service.clone();
     let mut truth = workload.truth;
     // The mutation stream draws from its own seeded RNG so that adding a
     // `[mutations]` section never perturbs dataset generation.
@@ -1190,11 +1199,7 @@ fn run_declarative(scenario: &Scenario, ctx: &ScenarioContext) -> Result<Experim
             CacheMode::Private => Some(AnswerCache::unbounded()),
             CacheMode::Shared => shared_cache.as_ref().map(|c| c.share()),
         };
-        let backend = workload.backend_over_dataset(
-            current.clone(),
-            workload.fresh_budget(),
-            rep_cache.clone(),
-        );
+        let backend = workload.backend_over(&current, workload.fresh_budget(), rep_cache.clone());
         let cfg = workload.session_config(ctx.threads, rep);
         let mut session = workload.start_session(backend, cfg)?;
         while !session.is_finished() {
@@ -1228,16 +1233,16 @@ fn run_declarative(scenario: &Scenario, ctx: &ScenarioContext) -> Result<Experim
         }
         if rep + 1 < workload.repetitions {
             if let Some(spec) = &workload.mutations {
-                let mut next = (*current).clone();
-                apply_mutations(
-                    &mut next,
+                current = mutated(
+                    &current,
                     &workload,
                     spec,
                     shared_cache.as_ref(),
                     &mut mutation_rng,
                 );
-                current = Arc::new(next);
-                truth = workload.aggregate.ground_truth(&current, &workload.region);
+                truth = workload
+                    .aggregate
+                    .ground_truth(current.dataset(), &workload.region);
             }
         }
     }
@@ -1259,23 +1264,25 @@ fn run_declarative(scenario: &Scenario, ctx: &ScenarioContext) -> Result<Experim
 /// repetition seeds).
 const MUTATION_SEED_SALT: u64 = 0x6d75_7461_7465;
 
-/// Applies one repetition boundary's worth of inserts and deletes to
-/// `dataset`, migrating `cache` (the shared answer cache, when one exists)
-/// across every dataset-version bump with the certificate-bounded
-/// invalidation of [`AnswerCache`].
-fn apply_mutations(
-    dataset: &mut Dataset,
+/// Applies one repetition boundary's worth of inserts and deletes to a copy
+/// of `service`'s dataset and returns a service built over the result,
+/// migrating `cache` (the shared answer cache, when one exists) across
+/// every dataset-version bump with the certificate-bounded invalidation of
+/// [`AnswerCache`].
+fn mutated(
+    service: &SimulatedLbs,
     workload: &Workload,
     spec: &MutationSpec,
     cache: Option<&Arc<AnswerCache>>,
     rng: &mut StdRng,
-) {
+) -> SimulatedLbs {
+    let mut dataset = service.dataset().clone();
     let config = &workload.service_config;
     for _ in 0..spec.inserts_per_rep.unwrap_or(0) {
         let location = workload.region.at_fraction(rng.gen(), rng.gen());
-        let old_version = backend_fingerprint(dataset, config);
+        let old_version = backend_fingerprint(&dataset, config);
         dataset.insert(Tuple::new(dataset.next_id(), location));
-        let new_version = backend_fingerprint(dataset, config);
+        let new_version = backend_fingerprint(&dataset, config);
         if let Some(cache) = cache {
             cache.apply_insert(old_version, new_version, &location);
         }
@@ -1286,13 +1293,14 @@ fn apply_mutations(
         }
         let pick = ((rng.gen::<f64>() * dataset.len() as f64) as usize).min(dataset.len() - 1);
         let id = dataset.tuples()[pick].id;
-        let old_version = backend_fingerprint(dataset, config);
+        let old_version = backend_fingerprint(&dataset, config);
         dataset.remove(id);
-        let new_version = backend_fingerprint(dataset, config);
+        let new_version = backend_fingerprint(&dataset, config);
         if let Some(cache) = cache {
             cache.apply_delete(old_version, new_version, id);
         }
     }
+    SimulatedLbs::over(Arc::new(dataset), config.clone())
 }
 
 /// Maps estimator errors onto actionable scenario-level messages.
@@ -1819,6 +1827,99 @@ repetitions = 3
         );
         let result = run_scenario(&s, &ctx()).expect("all repetitions complete");
         assert_eq!(result.rows.len(), 3);
+    }
+
+    /// Uniform query points over the workload's region.
+    fn query_points(workload: &Workload, n: usize, seed: u64) -> Vec<lbs_geom::Point> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| workload.region.at_fraction(rng.gen(), rng.gen()))
+            .collect()
+    }
+
+    #[test]
+    fn backends_share_the_service_but_meter_only_their_own_queries() {
+        let s = cache_scenario("shared-index", "cache = \"off\"");
+        let workload = build_workload(&s, &ctx()).unwrap();
+        let first = workload.backend();
+        let second = workload.backend();
+        let points = query_points(&workload, 25, 3);
+        for p in &points {
+            assert_eq!(first.query(p).unwrap(), second.query(p).unwrap());
+        }
+        first.query(&points[0]).unwrap();
+        assert_eq!(first.queries_issued(), 26);
+        assert_eq!(second.queries_issued(), 25);
+        assert_eq!(workload.backend().queries_issued(), 0);
+    }
+
+    #[test]
+    fn a_query_limit_exhausts_each_backend_separately() {
+        let s = parse_scenario(
+            r#"
+id = "limited-backends"
+
+[dataset]
+model = "uniform"
+size = 60
+
+[interface]
+kind = "lr"
+k = 5
+query_limit = 10
+
+[aggregate]
+kind = "count"
+
+[estimator]
+algorithm = "lr"
+budget = 8
+"#,
+        );
+        let workload = build_workload(&s, &ctx()).unwrap();
+        let points = query_points(&workload, 11, 5);
+        let spent = workload.backend();
+        for p in &points[..10] {
+            spent.query(p).unwrap();
+        }
+        assert!(matches!(
+            spent.query(&points[10]),
+            Err(lbs_service::QueryError::BudgetExhausted { limit: 10, .. })
+        ));
+        let fresh = workload.backend();
+        assert!(fresh.query(&points[10]).is_ok());
+        assert_eq!(fresh.queries_issued(), 1);
+    }
+
+    #[test]
+    fn a_mutation_rebuilds_the_service_over_the_mutated_dataset() {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../scenarios/cache_mutating_invalidation.toml");
+        let s = load_scenario(&path).unwrap();
+        let workload = build_workload(&s, &ctx()).unwrap();
+        let spec = workload.mutations.clone().expect("a mutating scenario");
+        // The runner's step after repetition 0, on the runner's RNG stream.
+        let mut rng = StdRng::seed_from_u64(workload.seed ^ MUTATION_SEED_SALT);
+        let next = mutated(&workload.service, &workload, &spec, None, &mut rng);
+        let first_new_id = workload.dataset.next_id();
+        let inserted = next
+            .dataset()
+            .tuples()
+            .iter()
+            .filter(|t| t.id >= first_new_id)
+            .collect::<Vec<_>>();
+        assert!(
+            !inserted.is_empty(),
+            "every inserted tuple was deleted again"
+        );
+        for tuple in inserted {
+            let answer = next.query(&tuple.location).unwrap();
+            assert_eq!(answer.top().unwrap().id, tuple.id);
+            // The workload's own index predates the insert and cannot
+            // return it.
+            let stale = workload.backend().query(&tuple.location).unwrap();
+            assert!(!stale.contains(tuple.id));
+        }
     }
 
     #[test]

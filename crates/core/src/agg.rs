@@ -277,12 +277,11 @@ impl Aggregate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
 
     fn returned(attrs_list: &[(&str, lbs_data::AttrValue)]) -> ReturnedTuple {
-        let mut attributes = BTreeMap::new();
+        let mut attributes = lbs_data::Attributes::new();
         for (k, v) in attrs_list {
-            attributes.insert(k.to_string(), v.clone());
+            attributes.insert(k, v.clone());
         }
         ReturnedTuple {
             id: 1,

@@ -148,15 +148,6 @@ impl QuerySampler {
         }
     }
 
-    /// The region this sampler actually draws locations from (the stratum
-    /// for a stratified design, the full region otherwise).
-    pub fn draw_region(&self) -> Rect {
-        match self {
-            QuerySampler::Stratified { rect, .. } => *rect,
-            other => other.bbox(),
-        }
-    }
-
     /// The full region of the design (the base's bounding box for a
     /// stratified sampler — probabilities stay full-region).
     pub fn bbox(&self) -> Rect {
@@ -165,12 +156,6 @@ impl QuerySampler {
             QuerySampler::Weighted { grid } => grid.bbox(),
             QuerySampler::Stratified { base, .. } => base.bbox(),
         }
-    }
-
-    /// `true` for the weighted design (a stratified sampler reports its
-    /// base).
-    pub fn is_weighted(&self) -> bool {
-        matches!(self.base(), QuerySampler::Weighted { .. })
     }
 
     /// Draws one query location.
@@ -264,7 +249,6 @@ mod tests {
         }
         mean = mean / n as f64;
         assert!((mean.x - 50.0).abs() < 2.5 && (mean.y - 50.0).abs() < 2.5);
-        assert!(!s.is_weighted());
     }
 
     #[test]
@@ -281,7 +265,6 @@ mod tests {
     fn weighted_sampler_prefers_heavy_cells() {
         let grid = DensityGrid::from_weights(bbox(), 2, 1, vec![9.0, 1.0]);
         let s = QuerySampler::weighted(grid);
-        assert!(s.is_weighted());
         let mut rng = StdRng::seed_from_u64(5);
         let n = 5_000;
         let left = (0..n).filter(|_| s.sample(&mut rng).x < 50.0).count();
@@ -341,7 +324,6 @@ mod tests {
         let stratum = Rect::from_bounds(0.0, 0.0, 50.0, 100.0);
         let s = QuerySampler::stratified(stratum, QuerySampler::uniform(bbox()));
         assert_eq!(s.bbox(), bbox(), "probabilities stay full-region");
-        assert_eq!(s.draw_region(), stratum);
         let mut rng = StdRng::seed_from_u64(9);
         for _ in 0..500 {
             assert!(stratum.contains(&s.sample(&mut rng)));
@@ -360,7 +342,6 @@ mod tests {
         let grid = DensityGrid::from_weights(bbox(), 4, 1, vec![9.0, 0.0, 0.5, 0.5]);
         let stratum = Rect::from_bounds(0.0, 0.0, 50.0, 100.0);
         let s = QuerySampler::stratified(stratum, QuerySampler::weighted(grid));
-        assert!(s.is_weighted());
         let mut rng = StdRng::seed_from_u64(13);
         for _ in 0..500 {
             let p = s.sample(&mut rng);

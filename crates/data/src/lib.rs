@@ -22,7 +22,7 @@
 //!
 //! | module | contents |
 //! |--------|----------|
-//! | [`mod@tuple`] | [`Tuple`], typed attribute values, attribute name constants |
+//! | [`mod@tuple`] | [`Tuple`], its shared [`Attributes`], typed attribute values, attribute name constants |
 //! | [`dataset`] | [`Dataset`] container and ground-truth aggregate helpers |
 //! | [`generators`] | spatial mixtures and the named scenario builders |
 //! | [`density`] | population-density grid (census substitute) |
@@ -43,4 +43,4 @@ pub use dataset::Dataset;
 pub use density::DensityGrid;
 pub use generators::{ScenarioBuilder, SpatialModel};
 pub use stratify::{Stratifier, Stratum};
-pub use tuple::{attrs, AttrValue, Tuple, TupleId};
+pub use tuple::{attrs, AttrValue, Attributes, Tuple, TupleId};

@@ -5,10 +5,12 @@
 //! aggregates (`COUNT`, `SUM`, `AVG` with optional selection conditions) are
 //! evaluated over these attributes.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use lbs_geom::Point;
 
@@ -121,6 +123,100 @@ pub mod attrs {
     pub const PROMINENCE: &str = "prominence";
 }
 
+/// The [`attrs`] names. An attribute list borrows these instead of copying
+/// them, so a generated table holds no per-tuple name strings.
+const WELL_KNOWN_NAMES: [&str; 9] = [
+    attrs::CATEGORY,
+    attrs::NAME,
+    attrs::BRAND,
+    attrs::RATING,
+    attrs::REVIEW_COUNT,
+    attrs::ENROLLMENT,
+    attrs::OPEN_SUNDAY,
+    attrs::GENDER,
+    attrs::PROMINENCE,
+];
+
+/// `name` as a static string when it is well known, else an owned copy.
+fn attr_name(name: &str) -> Cow<'static, str> {
+    match WELL_KNOWN_NAMES.iter().find(|known| **known == name) {
+        Some(known) => Cow::Borrowed(known),
+        None => Cow::Owned(name.to_string()),
+    }
+}
+
+/// The named attributes of a tuple, shared by every copy of it.
+///
+/// One immutable list sorted by name behind a reference count: cloning a
+/// tuple, or returning it in a query answer, bumps the count instead of
+/// copying names and values. [`Attributes::insert`] copies the list first
+/// when another handle shares it (copy on write), so an edit never shows
+/// through another copy. Iteration, `Debug` and the JSON form follow name
+/// order, exactly as a `BTreeMap<String, AttrValue>` would. The
+/// well-known [`attrs`] names are not copied at all.
+#[derive(Clone, Default, PartialEq)]
+pub struct Attributes(Arc<Vec<(Cow<'static, str>, AttrValue)>>);
+
+impl Attributes {
+    /// An empty attribute list.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Looks an attribute up by name.
+    pub fn get(&self, name: &str) -> Option<&AttrValue> {
+        let i = self.position(name).ok()?;
+        Some(&self.0[i].1)
+    }
+
+    /// The attributes in name order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &AttrValue)> + '_ {
+        self.0.iter().map(|(name, value)| (name.as_ref(), value))
+    }
+
+    /// Sets `name` to `value`, replacing any previous value. Copies the
+    /// list first when another handle shares it.
+    pub fn insert(&mut self, name: &str, value: AttrValue) {
+        let slot = self.position(name);
+        let list = Arc::make_mut(&mut self.0);
+        match slot {
+            Ok(i) => list[i].1 = value,
+            Err(i) => list.insert(i, (attr_name(name), value)),
+        }
+    }
+
+    fn position(&self, name: &str) -> Result<usize, usize> {
+        self.0.binary_search_by(|(n, _)| n.as_ref().cmp(name))
+    }
+}
+
+impl fmt::Debug for Attributes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+impl Serialize for Attributes {
+    fn to_value(&self) -> Value {
+        Value::Map(
+            self.iter()
+                .map(|(name, value)| (name.to_string(), value.to_value()))
+                .collect(),
+        )
+    }
+}
+
+impl Deserialize for Attributes {
+    fn from_value(value: &Value) -> Result<Self, serde::Error> {
+        let map = BTreeMap::<String, AttrValue>::from_value(value)?;
+        let list = map
+            .into_iter()
+            .map(|(name, value)| (Cow::Owned(name), value))
+            .collect();
+        Ok(Attributes(Arc::new(list)))
+    }
+}
+
 /// A database record: location plus attributes.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Tuple {
@@ -129,7 +225,7 @@ pub struct Tuple {
     /// Location of the tuple on the plane (kilometre coordinates).
     pub location: Point,
     /// Named attributes of the tuple.
-    pub attributes: BTreeMap<String, AttrValue>,
+    pub attributes: Attributes,
 }
 
 impl Tuple {
@@ -138,19 +234,20 @@ impl Tuple {
         Tuple {
             id,
             location,
-            attributes: BTreeMap::new(),
+            attributes: Attributes::new(),
         }
     }
 
     /// Builder-style attribute insertion.
     pub fn with_attr(mut self, name: &str, value: impl Into<AttrValue>) -> Self {
-        self.attributes.insert(name.to_string(), value.into());
+        self.set_attr(name, value);
         self
     }
 
-    /// Sets an attribute in place.
+    /// Sets an attribute in place (other copies of the tuple keep the old
+    /// value).
     pub fn set_attr(&mut self, name: &str, value: impl Into<AttrValue>) {
-        self.attributes.insert(name.to_string(), value.into());
+        self.attributes.insert(name, value.into());
     }
 
     /// Looks up an attribute.
@@ -217,6 +314,60 @@ mod tests {
         let mut t = Tuple::new(1, Point::ORIGIN).with_attr(attrs::RATING, 3.0);
         t.set_attr(attrs::RATING, 4.0);
         assert_eq!(t.num(attrs::RATING), Some(4.0));
+    }
+
+    #[test]
+    fn repeated_with_attr_replaces_the_value() {
+        let t = Tuple::new(1, Point::ORIGIN)
+            .with_attr(attrs::RATING, 3.0)
+            .with_attr(attrs::CATEGORY, "cafe")
+            .with_attr(attrs::RATING, 4.5);
+        assert_eq!(t.num(attrs::RATING), Some(4.5));
+        assert_eq!(t.attributes.iter().count(), 2);
+    }
+
+    #[test]
+    fn set_attr_on_a_clone_leaves_the_original_unchanged() {
+        let original = Tuple::new(1, Point::ORIGIN)
+            .with_attr(attrs::RATING, 3.0)
+            .with_attr(attrs::CATEGORY, "cafe");
+        let mut copy = original.clone();
+        copy.set_attr(attrs::RATING, 4.0);
+        copy.set_attr(attrs::BRAND, "Starbucks");
+        assert_eq!(original.num(attrs::RATING), Some(3.0));
+        assert!(original.attr(attrs::BRAND).is_none());
+        assert_eq!(copy.num(attrs::RATING), Some(4.0));
+        assert_eq!(copy.text(attrs::BRAND), Some("Starbucks"));
+    }
+
+    #[test]
+    fn json_and_debug_forms_are_a_name_ordered_map() {
+        // All seven attributes of a generated POI, inserted out of name
+        // order. The JSON is byte for byte what serde renders for a
+        // `BTreeMap<String, AttrValue>`: a map in name order.
+        let t = Tuple::new(17, Point::new(-97.25, 30.5))
+            .with_attr(attrs::PROMINENCE, 0.625)
+            .with_attr(attrs::CATEGORY, "cafe")
+            .with_attr(attrs::OPEN_SUNDAY, true)
+            .with_attr(attrs::BRAND, "Starbucks")
+            .with_attr(attrs::REVIEW_COUNT, 42_i64)
+            .with_attr(attrs::NAME, "Starbucks #17")
+            .with_attr(attrs::RATING, 4.25);
+        assert_eq!(
+            serde_json::to_string(&t).unwrap(),
+            "{\"id\":17,\"location\":{\"x\":-97.25,\"y\":30.5},\"attributes\":{\
+             \"brand\":{\"Text\":\"Starbucks\"},\"category\":{\"Text\":\"cafe\"},\
+             \"name\":{\"Text\":\"Starbucks #17\"},\"open_sunday\":{\"Bool\":true},\
+             \"prominence\":{\"Float\":0.625},\"rating\":{\"Float\":4.25},\
+             \"review_count\":{\"Int\":42}}}"
+        );
+        assert_eq!(
+            // lbs-lint: allow(nondet-debug-fmt, reason = "Attributes' Debug is a name-ordered map, the form under test")
+            format!("{:?}", t.attributes),
+            "{\"brand\": Text(\"Starbucks\"), \"category\": Text(\"cafe\"), \
+             \"name\": Text(\"Starbucks #17\"), \"open_sunday\": Bool(true), \
+             \"prominence\": Float(0.625), \"rating\": Float(4.25), \"review_count\": Int(42)}"
+        );
     }
 
     #[test]

@@ -186,6 +186,9 @@ impl CacheKey {
 /// invalidate it.
 #[derive(Clone, Debug)]
 struct CachedAnswer {
+    /// The answer. Its tuples share their attributes with the service's
+    /// dataset, so an entry holds one result list, and a hit or a fill
+    /// copies that list plus one reference count per tuple.
     response: QueryResponse,
     /// An insert strictly farther than this from the query point cannot
     /// change the answer; `INFINITY` means any insert may (no certificate).

@@ -5,9 +5,7 @@
 //! it: [`QueryResponse`] / [`ReturnedTuple`] answers, [`QueryError`], and
 //! the [`PassThroughFilter`] modelling server-side selection conditions.
 
-use std::collections::BTreeMap;
-
-use lbs_data::{AttrValue, TupleId};
+use lbs_data::{AttrValue, Attributes, TupleId};
 use lbs_geom::Point;
 
 /// One tuple of a query answer.
@@ -23,8 +21,8 @@ pub struct ReturnedTuple {
     /// Distance from the query location — `Some` only for LR-LBS interfaces.
     pub distance: Option<f64>,
     /// Non-location attributes returned alongside the tuple (name, rating,
-    /// gender, …).
-    pub attributes: BTreeMap<String, AttrValue>,
+    /// gender, …), shared with the service's copy of the tuple.
+    pub attributes: Attributes,
 }
 
 impl ReturnedTuple {
@@ -140,14 +138,14 @@ mod tests {
                     rank: 1,
                     location: Some(Point::new(1.0, 1.0)),
                     distance: Some(0.5),
-                    attributes: BTreeMap::new(),
+                    attributes: Attributes::new(),
                 },
                 ReturnedTuple {
                     id: 9,
                     rank: 2,
                     location: None,
                     distance: None,
-                    attributes: BTreeMap::new(),
+                    attributes: Attributes::new(),
                 },
             ],
         };
@@ -160,16 +158,16 @@ mod tests {
 
     #[test]
     fn returned_tuple_attribute_helpers() {
-        let mut attrs_map = BTreeMap::new();
-        attrs_map.insert(attrs::RATING.to_string(), AttrValue::Float(4.5));
-        attrs_map.insert(attrs::GENDER.to_string(), AttrValue::Text("female".into()));
-        attrs_map.insert(attrs::OPEN_SUNDAY.to_string(), AttrValue::Bool(true));
+        let tuple = Tuple::new(1, Point::ORIGIN)
+            .with_attr(attrs::RATING, 4.5)
+            .with_attr(attrs::GENDER, "female")
+            .with_attr(attrs::OPEN_SUNDAY, true);
         let r = ReturnedTuple {
             id: 1,
             rank: 1,
             location: None,
             distance: None,
-            attributes: attrs_map,
+            attributes: tuple.attributes,
         };
         assert_eq!(r.num(attrs::RATING), Some(4.5));
         assert_eq!(r.text(attrs::GENDER), Some("female"));

@@ -11,11 +11,16 @@
 //! matching subset of tuples only — exactly what appending `NAME =
 //! 'STARBUCKS'` to a Google Places query does — while continuing to charge
 //! the same budget.
+//!
+//! Everything but the budget is immutable and reference-counted, so one
+//! built service can back any number of runs: [`SimulatedLbs::with_budget`]
+//! hands out a copy sharing the index and charging a budget of its own, and
+//! an answer shares each returned tuple's [`Attributes`] instead of copying
+//! them.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use lbs_data::{Dataset, Tuple, TupleId};
+use lbs_data::{Attributes, Dataset, Tuple, TupleId};
 use lbs_geom::{Point, Rect};
 use lbs_index::{BruteForceIndex, GridIndex, KdTree, SpatialIndex};
 
@@ -30,6 +35,8 @@ pub struct SimulatedLbs {
     dataset: Arc<Dataset>,
     /// Tuple ids in index order (positions in `index` map to these ids).
     ids: Arc<Vec<TupleId>>,
+    /// Tuple attributes in index order, shared with the dataset's tuples.
+    attributes: Arc<Vec<Attributes>>,
     /// Positions (ranking locations, possibly obfuscated) in index order.
     ranking_locations: Arc<Vec<Point>>,
     index: Arc<dyn SpatialIndex>,
@@ -40,21 +47,28 @@ pub struct SimulatedLbs {
 impl SimulatedLbs {
     /// Creates a service over the full dataset.
     pub fn new(dataset: Dataset, config: ServiceConfig) -> Self {
+        Self::over(Arc::new(dataset), config)
+    }
+
+    /// Creates a service over a shared dataset, with a budget of its own
+    /// honouring the config's `query_limit`.
+    pub fn over(dataset: Arc<Dataset>, config: ServiceConfig) -> Self {
         let budget = match config.query_limit {
             Some(l) => QueryBudget::with_limit(l),
             None => QueryBudget::unlimited(),
         };
-        Self::with_budget(Arc::new(dataset), config, budget)
-    }
-
-    /// Creates a service over a shared dataset charging an existing budget.
-    pub fn with_budget(
-        dataset: Arc<Dataset>,
-        config: ServiceConfig,
-        budget: Arc<QueryBudget>,
-    ) -> Self {
         let tuples: Vec<&Tuple> = dataset.tuples().iter().collect();
         Self::build(dataset.clone(), &tuples, config, budget)
+    }
+
+    /// This service charging `budget` instead: the copy shares the dataset,
+    /// the index and every other built structure, so it costs a few
+    /// reference counts rather than a rebuild.
+    pub fn with_budget(&self, budget: Arc<QueryBudget>) -> Self {
+        SimulatedLbs {
+            budget,
+            ..self.clone()
+        }
     }
 
     fn build(
@@ -64,6 +78,7 @@ impl SimulatedLbs {
         budget: Arc<QueryBudget>,
     ) -> Self {
         let ids: Vec<TupleId> = tuples.iter().map(|t| t.id).collect();
+        let attributes: Vec<Attributes> = tuples.iter().map(|t| t.attributes.clone()).collect();
         let ranking_locations: Vec<Point> = tuples
             .iter()
             .map(|t| match config.obfuscation_grid {
@@ -82,6 +97,7 @@ impl SimulatedLbs {
         SimulatedLbs {
             dataset,
             ids: Arc::new(ids),
+            attributes: Arc::new(attributes),
             ranking_locations: Arc::new(ranking_locations),
             index,
             config,
@@ -157,11 +173,9 @@ impl SimulatedLbs {
                 let mut scored: Vec<(usize, f64)> = pool
                     .into_iter()
                     .map(|n| {
-                        let id = self.ids[n.id];
-                        let prominence = self
-                            .dataset
-                            .get(id)
-                            .and_then(|t| t.num(lbs_data::attrs::PROMINENCE))
+                        let prominence = self.attributes[n.id]
+                            .get(lbs_data::attrs::PROMINENCE)
+                            .and_then(lbs_data::AttrValue::as_f64)
                             .unwrap_or(0.0);
                         (n.id, n.distance - weight * prominence)
                     })
@@ -211,11 +225,6 @@ impl LbsBackend for SimulatedLbs {
                     continue;
                 }
             }
-            let tuple = self
-                .dataset
-                .get(id)
-                .expect("indexed tuple must exist in the dataset");
-            let attributes: BTreeMap<String, lbs_data::AttrValue> = tuple.attributes.clone();
             let (loc_out, dist_out) = match self.config.return_mode {
                 ReturnMode::LocationReturned => (Some(ranking_loc), Some(distance)),
                 ReturnMode::RankOnly => (None, None),
@@ -225,7 +234,7 @@ impl LbsBackend for SimulatedLbs {
                 rank: rank0 + 1,
                 location: loc_out,
                 distance: dist_out,
-                attributes,
+                attributes: self.attributes[pos].clone(),
             });
         }
         // Re-number ranks after the radius filter so they stay contiguous.
