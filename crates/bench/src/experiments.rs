@@ -10,9 +10,10 @@
 //! * Every configuration is repeated [`Scale::repetitions`] times with
 //!   different seeds and the mean relative error is reported.
 //! * All experiments are deterministic given `(scale, seed)` — including
-//!   across thread counts: every estimator run goes through the
-//!   [`SampleDriver`], whose results are bit-identical whether it fans out to
-//!   1 worker or 64 (`repro --threads N` only changes wall-clock time).
+//!   across thread counts: every estimator run goes through the parallel
+//!   sample driver ([`lbs_core::driver`]), whose results are bit-identical
+//!   whether it fans out to 1 worker or 64 (`repro --threads N` only changes
+//!   wall-clock time).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -22,7 +23,7 @@ use lbs_core::lnr::locate::LocateConfig;
 use lbs_core::lnr::{explore_cell as lnr_explore_cell, infer_position, RankOracle};
 use lbs_core::{
     Aggregate, EngineReport, Estimate, LnrLbsAgg, LnrLbsAggConfig, LrLbsAgg, LrLbsAggConfig,
-    NnoBaseline, NnoConfig, SampleDriver, Selection,
+    NnoBaseline, NnoConfig, Selection, SessionConfig,
 };
 use lbs_data::{attrs, Dataset, DensityGrid, ScenarioBuilder};
 use lbs_geom::{voronoi_diagram, Point, Rect};
@@ -67,20 +68,19 @@ pub fn run_experiment_threaded(
     seed: u64,
     threads: usize,
 ) -> ExperimentResult {
-    let driver = SampleDriver::new(threads);
     match id {
         "fig11" => fig11_voronoi_decomposition(scale, seed),
-        "fig12" => fig12_convergence(scale, seed, &driver),
-        "fig13" => fig13_sampling_strategy(scale, seed, &driver),
-        "fig14" => fig14_count_schools(scale, seed, &driver),
-        "fig15" => fig15_count_restaurants(scale, seed, &driver),
-        "fig16" => fig16_sum_enrollment(scale, seed, &driver),
-        "fig17" => fig17_avg_rating_region(scale, seed, &driver),
-        "fig18" => fig18_database_size(scale, seed, &driver),
-        "fig19" => fig19_varying_k(scale, seed, &driver),
-        "fig20" => fig20_error_reduction_ablation(scale, seed, &driver),
+        "fig12" => fig12_convergence(scale, seed, threads),
+        "fig13" => fig13_sampling_strategy(scale, seed, threads),
+        "fig14" => fig14_count_schools(scale, seed, threads),
+        "fig15" => fig15_count_restaurants(scale, seed, threads),
+        "fig16" => fig16_sum_enrollment(scale, seed, threads),
+        "fig17" => fig17_avg_rating_region(scale, seed, threads),
+        "fig18" => fig18_database_size(scale, seed, threads),
+        "fig19" => fig19_varying_k(scale, seed, threads),
+        "fig20" => fig20_error_reduction_ablation(scale, seed, threads),
         "fig21" => fig21_localization_accuracy(scale, seed),
-        "table1" => table1_online_experiments(scale, seed, &driver),
+        "table1" => table1_online_experiments(scale, seed, threads),
         other => panic!("unknown experiment id: {other}"),
     }
 }
@@ -117,10 +117,11 @@ fn run_lr(
     budget: u64,
     seed: u64,
     config: LrLbsAggConfig,
-    driver: &SampleDriver,
+    threads: usize,
 ) -> Estimate {
-    let mut est = LrLbsAgg::new(config);
-    est.estimate_parallel(service, region, agg, budget, seed, driver)
+    let cfg = SessionConfig::new(budget, seed).with_threads(threads);
+    LrLbsAgg::new(config)
+        .run(service, region, agg, cfg)
         .expect("LR estimation should produce at least one sample")
 }
 
@@ -131,12 +132,13 @@ fn run_lnr(
     budget: u64,
     seed: u64,
     mut config: LnrLbsAggConfig,
-    driver: &SampleDriver,
+    threads: usize,
 ) -> Estimate {
     config.delta = lnr_delta(region);
     config.delta_prime = config.delta * 10.0;
-    let mut est = LnrLbsAgg::new(config);
-    est.estimate_parallel(service, region, agg, budget, seed, driver)
+    let cfg = SessionConfig::new(budget, seed).with_threads(threads);
+    LnrLbsAgg::new(config)
+        .run(service, region, agg, cfg)
         .expect("LNR estimation should produce at least one sample")
 }
 
@@ -146,10 +148,11 @@ fn run_nno(
     agg: &Aggregate,
     budget: u64,
     seed: u64,
-    driver: &SampleDriver,
+    threads: usize,
 ) -> Estimate {
-    let mut est = NnoBaseline::new(NnoConfig::default());
-    est.estimate_parallel(service, region, agg, budget, seed, driver)
+    let cfg = SessionConfig::new(budget, seed).with_threads(threads);
+    NnoBaseline::new(NnoConfig)
+        .run(service, region, agg, cfg)
         .expect("baseline estimation should produce at least one sample")
 }
 
@@ -181,7 +184,7 @@ fn cost_error_comparison(
     seed: u64,
     agg: Aggregate,
     region_override: Option<Rect>,
-    driver: &SampleDriver,
+    threads: usize,
 ) -> ExperimentResult {
     let dataset = usa_dataset(scale, seed);
     let region = region_override.unwrap_or_else(|| dataset.bbox());
@@ -198,7 +201,7 @@ fn cost_error_comparison(
     let mut engine = EngineReport::default();
     for budget in scale.budget_ladder() {
         let (nno_err, nno_cost) = mean_rel_error(scale, truth, &mut engine, |s| {
-            run_nno(&lr, &region, &agg, budget, seed ^ s, driver)
+            run_nno(&lr, &region, &agg, budget, seed ^ s, threads)
         });
         let (lr_err, lr_cost) = mean_rel_error(scale, truth, &mut engine, |s| {
             run_lr(
@@ -208,7 +211,7 @@ fn cost_error_comparison(
                 budget,
                 seed ^ s,
                 LrLbsAggConfig::default(),
-                driver,
+                threads,
             )
         });
         let lnr_budget = budget * (scale.lnr_budget() / scale.lr_budget()).max(1);
@@ -220,7 +223,7 @@ fn cost_error_comparison(
                 lnr_budget,
                 seed ^ s,
                 LnrLbsAggConfig::default(),
-                driver,
+                threads,
             )
         });
         result.push(
@@ -303,7 +306,7 @@ pub fn fig11_voronoi_decomposition(scale: Scale, seed: u64) -> ExperimentResult 
 
 /// Figure 12: running COUNT(restaurants) estimate versus query cost for the
 /// three algorithms against the ground truth.
-pub fn fig12_convergence(scale: Scale, seed: u64, driver: &SampleDriver) -> ExperimentResult {
+pub fn fig12_convergence(scale: Scale, seed: u64, threads: usize) -> ExperimentResult {
     let dataset = usa_dataset(scale, seed);
     let region = dataset.bbox();
     let agg = Aggregate::count_restaurants();
@@ -318,9 +321,9 @@ pub fn fig12_convergence(scale: Scale, seed: u64, driver: &SampleDriver) -> Expe
         scale.lr_budget(),
         seed,
         LrLbsAggConfig::default(),
-        driver,
+        threads,
     );
-    let nno_est = run_nno(&lr, &region, &agg, scale.lr_budget(), seed + 1, driver);
+    let nno_est = run_nno(&lr, &region, &agg, scale.lr_budget(), seed + 1, threads);
     let lnr_est = run_lnr(
         &lnr,
         &region,
@@ -328,7 +331,7 @@ pub fn fig12_convergence(scale: Scale, seed: u64, driver: &SampleDriver) -> Expe
         scale.lnr_budget(),
         seed + 2,
         LnrLbsAggConfig::default(),
-        driver,
+        threads,
     );
 
     let mut result =
@@ -363,7 +366,7 @@ pub fn fig12_convergence(scale: Scale, seed: u64, driver: &SampleDriver) -> Expe
 
 /// Figure 13: COUNT(schools) with uniform versus density-weighted query
 /// sampling, for both LR-LBS-AGG and LNR-LBS-AGG.
-pub fn fig13_sampling_strategy(scale: Scale, seed: u64, driver: &SampleDriver) -> ExperimentResult {
+pub fn fig13_sampling_strategy(scale: Scale, seed: u64, threads: usize) -> ExperimentResult {
     let dataset = usa_dataset(scale, seed);
     let region = dataset.bbox();
     let agg = Aggregate::count_schools();
@@ -390,7 +393,7 @@ pub fn fig13_sampling_strategy(scale: Scale, seed: u64, driver: &SampleDriver) -
                     budget,
                     s,
                     LrLbsAggConfig::default(),
-                    driver,
+                    threads,
                 )
             }),
         ),
@@ -407,7 +410,7 @@ pub fn fig13_sampling_strategy(scale: Scale, seed: u64, driver: &SampleDriver) -
                         weighted_sampler: Some(grid.clone()),
                         ..LrLbsAggConfig::default()
                     },
-                    driver,
+                    threads,
                 )
             }),
         ),
@@ -421,7 +424,7 @@ pub fn fig13_sampling_strategy(scale: Scale, seed: u64, driver: &SampleDriver) -
                     scale.lnr_budget(),
                     s,
                     LnrLbsAggConfig::default(),
-                    driver,
+                    threads,
                 )
             }),
         ),
@@ -438,7 +441,7 @@ pub fn fig13_sampling_strategy(scale: Scale, seed: u64, driver: &SampleDriver) -
                         weighted_sampler: Some(grid.clone()),
                         ..LnrLbsAggConfig::default()
                     },
-                    driver,
+                    threads,
                 )
             }),
         ),
@@ -462,7 +465,7 @@ pub fn fig13_sampling_strategy(scale: Scale, seed: u64, driver: &SampleDriver) -
 // ---------------------------------------------------------------------------
 
 /// Figure 14: COUNT(schools) in the US.
-pub fn fig14_count_schools(scale: Scale, seed: u64, driver: &SampleDriver) -> ExperimentResult {
+pub fn fig14_count_schools(scale: Scale, seed: u64, threads: usize) -> ExperimentResult {
     cost_error_comparison(
         "fig14",
         "COUNT(schools): relative error at each query budget",
@@ -470,12 +473,12 @@ pub fn fig14_count_schools(scale: Scale, seed: u64, driver: &SampleDriver) -> Ex
         seed,
         Aggregate::count_schools(),
         None,
-        driver,
+        threads,
     )
 }
 
 /// Figure 15: COUNT(restaurants) in the US.
-pub fn fig15_count_restaurants(scale: Scale, seed: u64, driver: &SampleDriver) -> ExperimentResult {
+pub fn fig15_count_restaurants(scale: Scale, seed: u64, threads: usize) -> ExperimentResult {
     cost_error_comparison(
         "fig15",
         "COUNT(restaurants): relative error at each query budget",
@@ -483,12 +486,12 @@ pub fn fig15_count_restaurants(scale: Scale, seed: u64, driver: &SampleDriver) -
         seed,
         Aggregate::count_restaurants(),
         None,
-        driver,
+        threads,
     )
 }
 
 /// Figure 16: SUM(enrollment) over schools in the US.
-pub fn fig16_sum_enrollment(scale: Scale, seed: u64, driver: &SampleDriver) -> ExperimentResult {
+pub fn fig16_sum_enrollment(scale: Scale, seed: u64, threads: usize) -> ExperimentResult {
     cost_error_comparison(
         "fig16",
         "SUM(school enrollment): relative error at each query budget",
@@ -496,13 +499,13 @@ pub fn fig16_sum_enrollment(scale: Scale, seed: u64, driver: &SampleDriver) -> E
         seed,
         Aggregate::sum_school_enrollment(),
         None,
-        driver,
+        threads,
     )
 }
 
 /// Figure 17: AVG(restaurant rating) inside a metropolitan sub-region
 /// ("Austin, TX" in the paper).
-pub fn fig17_avg_rating_region(scale: Scale, seed: u64, driver: &SampleDriver) -> ExperimentResult {
+pub fn fig17_avg_rating_region(scale: Scale, seed: u64, threads: usize) -> ExperimentResult {
     let dataset = usa_dataset(scale, seed);
     let bbox = dataset.bbox();
     // At reduced scales the literal Austin box holds too few POIs to define a
@@ -532,7 +535,7 @@ pub fn fig17_avg_rating_region(scale: Scale, seed: u64, driver: &SampleDriver) -
         seed,
         agg,
         None,
-        driver,
+        threads,
     );
     result.note(format!(
         "sub-region {:.0} km x {:.0} km",
@@ -550,7 +553,7 @@ pub fn fig17_avg_rating_region(scale: Scale, seed: u64, driver: &SampleDriver) -
 /// is subsampled to 25/50/75/100 % (the paper fixes the error and reports the
 /// cost; the cost ladder of fig14 plus this transposed view carries the same
 /// conclusion — database size barely matters for a sampling approach).
-pub fn fig18_database_size(scale: Scale, seed: u64, driver: &SampleDriver) -> ExperimentResult {
+pub fn fig18_database_size(scale: Scale, seed: u64, threads: usize) -> ExperimentResult {
     let full = usa_dataset(scale, seed);
     let region = full.bbox();
     let budget = scale.lr_budget();
@@ -573,7 +576,7 @@ pub fn fig18_database_size(scale: Scale, seed: u64, driver: &SampleDriver) -> Ex
         let lr = lr_service(&subset, 10);
         let lnr = lnr_service(&subset, 10);
         let (nno_err, _) = mean_rel_error(scale, truth, &mut engine, |s| {
-            run_nno(&lr, &region, &agg, budget, seed ^ s, driver)
+            run_nno(&lr, &region, &agg, budget, seed ^ s, threads)
         });
         let (lr_err, _) = mean_rel_error(scale, truth, &mut engine, |s| {
             run_lr(
@@ -583,7 +586,7 @@ pub fn fig18_database_size(scale: Scale, seed: u64, driver: &SampleDriver) -> Ex
                 budget,
                 seed ^ s,
                 LrLbsAggConfig::default(),
-                driver,
+                threads,
             )
         });
         let (lnr_err, _) = mean_rel_error(scale, truth, &mut engine, |s| {
@@ -594,7 +597,7 @@ pub fn fig18_database_size(scale: Scale, seed: u64, driver: &SampleDriver) -> Ex
                 scale.lnr_budget(),
                 seed ^ s,
                 LnrLbsAggConfig::default(),
-                driver,
+                threads,
             )
         });
         result.push(
@@ -616,7 +619,7 @@ pub fn fig18_database_size(scale: Scale, seed: u64, driver: &SampleDriver) -> Ex
 
 /// Figure 19: COUNT(schools) accuracy and per-sample cost when LR-LBS-AGG
 /// uses a fixed top-h level of 1..5 versus the adaptive selection rule.
-pub fn fig19_varying_k(scale: Scale, seed: u64, driver: &SampleDriver) -> ExperimentResult {
+pub fn fig19_varying_k(scale: Scale, seed: u64, threads: usize) -> ExperimentResult {
     let dataset = usa_dataset(scale, seed);
     let region = dataset.bbox();
     let agg = Aggregate::count_schools();
@@ -644,7 +647,7 @@ pub fn fig19_varying_k(scale: Scale, seed: u64, driver: &SampleDriver) -> Experi
                 budget,
                 seed ^ (500 + rep as u64),
                 cfg.clone(),
-                driver,
+                threads,
             );
             err_sum += est.relative_error(truth);
             samples_sum += est.samples;
@@ -673,11 +676,7 @@ pub fn fig19_varying_k(scale: Scale, seed: u64, driver: &SampleDriver) -> Experi
 
 /// Figure 20: LR-LBS-AGG with the error-reduction techniques enabled one by
 /// one (level 0 = none, level 4 = all).
-pub fn fig20_error_reduction_ablation(
-    scale: Scale,
-    seed: u64,
-    driver: &SampleDriver,
-) -> ExperimentResult {
+pub fn fig20_error_reduction_ablation(scale: Scale, seed: u64, threads: usize) -> ExperimentResult {
     let dataset = usa_dataset(scale, seed);
     let region = dataset.bbox();
     let agg = Aggregate::count_schools();
@@ -700,7 +699,7 @@ pub fn fig20_error_reduction_ablation(
                 budget,
                 seed ^ (900 + rep as u64),
                 LrLbsAggConfig::ablation_level(level),
-                driver,
+                threads,
             );
             err_sum += est.relative_error(truth);
             samples_sum += est.samples;
@@ -806,11 +805,7 @@ pub fn fig21_localization_accuracy(scale: Scale, seed: u64) -> ExperimentResult 
 /// Table 1: the paper's online demonstrations, reproduced against the
 /// simulated Google Places / WeChat / Sina Weibo services, with the planted
 /// ground truth that the real experiments could only approximate externally.
-pub fn table1_online_experiments(
-    scale: Scale,
-    seed: u64,
-    driver: &SampleDriver,
-) -> ExperimentResult {
+pub fn table1_online_experiments(scale: Scale, seed: u64, threads: usize) -> ExperimentResult {
     let mut result = ExperimentResult::new(
         "table1",
         "Summary of online experiments (simulated services)",
@@ -834,7 +829,7 @@ pub fn table1_online_experiments(
         budget,
         seed + 11,
         LrLbsAggConfig::default(),
-        driver,
+        threads,
     );
     result.add_engine(&est.engine);
     result.push(
@@ -878,7 +873,7 @@ pub fn table1_online_experiments(
         budget,
         seed + 13,
         LrLbsAggConfig::default(),
-        driver,
+        threads,
     );
     result.add_engine(&est.engine);
     result.push(
@@ -907,7 +902,7 @@ pub fn table1_online_experiments(
             scale.lnr_budget(),
             seed + 17,
             LnrLbsAggConfig::default(),
-            driver,
+            threads,
         );
         let male_agg = Aggregate::count_where(Selection::TextEquals {
             attr: attrs::GENDER.to_string(),
@@ -920,7 +915,7 @@ pub fn table1_online_experiments(
             scale.lnr_budget(),
             seed + 19,
             LnrLbsAggConfig::default(),
-            driver,
+            threads,
         );
         result.add_engine(&count_est.engine);
         result.add_engine(&male_est.engine);
@@ -1022,7 +1017,7 @@ mod tests {
 
     #[test]
     fn fig20_full_config_beats_plain_baseline() {
-        let res = fig20_error_reduction_ablation(Scale::Tiny, 3, &SampleDriver::serial());
+        let res = fig20_error_reduction_ablation(Scale::Tiny, 3, 1);
         let err_of = |variant: &str| -> f64 {
             res.rows
                 .iter()

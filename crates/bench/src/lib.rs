@@ -6,9 +6,9 @@
 //! Each experiment is a function in [`experiments`] returning an
 //! [`ExperimentResult`]: a set of rows shaped like the series the paper
 //! plots (query cost versus relative error, estimate traces, ablation
-//! ladders, …). The `repro` binary runs them from the command line and
-//! writes CSV files; the Criterion bench `paper_experiments` runs reduced
-//! versions so that `cargo bench` exercises the same code paths.
+//! ladders, …). The `repro` binary (in `lbs-server`) runs them from the
+//! command line and writes CSV files; `repro --smoke` runs every scenario
+//! at a reduced scale.
 //!
 //! Absolute numbers differ from the paper — the substrate is a simulator,
 //! not Google Maps or WeChat — but the *shape* of each result (which

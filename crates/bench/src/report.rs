@@ -11,7 +11,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use lbs_core::{Aggregate, EngineReport, LrLbsAgg, LrLbsAggConfig, SampleDriver};
+use lbs_core::{Aggregate, EngineReport, LrLbsAgg, LrLbsAggConfig, SessionConfig};
 use lbs_service::{ServiceConfig, SimulatedLbs};
 
 use crate::result::ExperimentResult;
@@ -658,11 +658,11 @@ pub fn run_speedup_probe(scale: Scale, seed: u64, threads: usize) -> SpeedupRepo
     let agg = Aggregate::count_schools();
 
     let timed_run = |worker_threads: usize| {
-        let driver = SampleDriver::new(worker_threads);
+        let cfg = SessionConfig::new(budget, seed).with_threads(worker_threads);
         let mut estimator = LrLbsAgg::new(LrLbsAggConfig::default());
         let started = std::time::Instant::now();
         let estimate = estimator
-            .estimate_parallel(&service, &region, &agg, budget, seed, &driver)
+            .run(&service, &region, &agg, cfg)
             .expect("speedup probe must produce samples");
         (started.elapsed().as_secs_f64(), estimate)
     };

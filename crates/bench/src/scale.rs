@@ -3,7 +3,7 @@
 //! The paper's experiments run against hundreds of thousands of
 //! OpenStreetMap POIs with query budgets in the tens of thousands. The
 //! simulator can do the same, but that is hours of compute; the harness
-//! therefore exposes three presets. All experiments accept a [`Scale`] and
+//! therefore exposes four presets. All experiments accept a [`Scale`] and
 //! derive their dataset sizes and budgets from it, so the same code path is
 //! exercised at every scale.
 
@@ -12,8 +12,9 @@ use serde::{Deserialize, Serialize};
 /// How big an experiment run should be.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Scale {
-    /// Micro scale used by the Criterion benches: fractions of a second per
-    /// experiment, so that `cargo bench` covers every figure quickly.
+    /// Micro scale of smoke mode (`repro --smoke`, which runs the built-in
+    /// experiments of a scenario sweep at this scale): fractions of a second
+    /// per experiment.
     Micro,
     /// Smoke-test scale: seconds per experiment. Used by the harness's own
     /// tests.

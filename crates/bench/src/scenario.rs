@@ -38,9 +38,8 @@ use lbs_core::{
 use lbs_data::{Dataset, DensityGrid, ScenarioBuilder, Stratifier, Tuple};
 use lbs_geom::Rect;
 use lbs_service::{
-    backend_fingerprint, AnswerCache, CacheStats, CachingBackend, IndexKind, LatencyBackend,
-    LbsBackend, QueryBudget, Ranking, RateLimitedBackend, ServiceConfig, SimulatedLbs,
-    TruncatingBackend,
+    backend_fingerprint, AnswerCache, CacheStats, CachingBackend, LatencyBackend, LbsBackend,
+    QueryBudget, Ranking, RateLimitedBackend, ServiceConfig, SimulatedLbs, TruncatingBackend,
 };
 
 use crate::experiments::{all_experiment_ids, lnr_delta, run_experiment_threaded};
@@ -80,9 +79,10 @@ pub struct Scenario {
     /// Declarative form: the stratification of the region (required when —
     /// and only when — `estimator.strategy = "stratified"`).
     pub strata: Option<StrataSpec>,
-    /// Declarative form: anytime-session knobs. When present, the scenario
-    /// runs through the resumable [`EstimationSession`] path instead of the
-    /// batch facade (which is itself a session with no overrides).
+    /// Declarative form: anytime-session knobs. Every repetition runs in a
+    /// resumable [`EstimationSession`]; when present, these override its
+    /// adaptive waves and add early-stop rules, and the report rows gain
+    /// `waves` and `stop` columns.
     pub session: Option<SessionSpec>,
     /// Declarative form: a deterministic insert/delete stream applied to the
     /// dataset between repetitions, exercising the answer cache's versioned
@@ -129,10 +129,6 @@ pub struct InterfaceSpec {
     pub query_limit: Option<u64>,
     /// Enables prominence ranking with this distance-per-prominence weight.
     pub prominence_weight: Option<f64>,
-    /// Spatial index backend of the simulator: `grid` (default), `kdtree`,
-    /// or `brute`. Answer-preserving — every backend is exact — so this only
-    /// trades index build/query time.
-    pub index: Option<String>,
 }
 
 /// Session section of a declarative scenario: anytime-run knobs consumed by
@@ -536,7 +532,6 @@ impl Deserialize for InterfaceSpec {
                 "obfuscation_grid",
                 "query_limit",
                 "prominence_weight",
-                "index",
             ],
         )?;
         Ok(InterfaceSpec {
@@ -546,7 +541,6 @@ impl Deserialize for InterfaceSpec {
             obfuscation_grid: opt(m, "interface", "obfuscation_grid")?,
             query_limit: opt(m, "interface", "query_limit")?,
             prominence_weight: opt(m, "interface", "prominence_weight")?,
-            index: opt(m, "interface", "index")?,
         })
     }
 }
@@ -1179,9 +1173,8 @@ fn run_declarative(scenario: &Scenario, ctx: &ScenarioContext) -> Result<Experim
     }
 
     // One path for every repetition: the anytime session. With no
-    // `[session]` overrides it is the batch facade bit for bit (the batch
-    // facades are themselves thin loops over sessions), so there is no
-    // separate estimate_parallel branch to keep in sync.
+    // `[session]` overrides it gives the bits of the estimators' `run` with
+    // the same `SessionConfig`, which is itself a loop over a session.
     let mode = workload.cache_mode();
     let shared_cache = match mode {
         CacheMode::Shared => Some(AnswerCache::unbounded()),
@@ -1472,19 +1465,6 @@ fn build_service_config(id: &str, spec: &InterfaceSpec) -> Result<ServiceConfig,
     if let Some(weight) = spec.prominence_weight {
         config = config.with_ranking(Ranking::Prominence { weight });
     }
-    if let Some(index) = &spec.index {
-        let kind = match index.as_str() {
-            "grid" => IndexKind::Grid,
-            "kdtree" => IndexKind::KdTree,
-            "brute" => IndexKind::Brute,
-            other => {
-                return Err(format!(
-                    "{id}: unknown interface index `{other}` (grid, kdtree, brute)"
-                ))
-            }
-        };
-        config = config.with_index(kind);
-    }
     Ok(config)
 }
 
@@ -1619,7 +1599,7 @@ fn estimator_configs(
             config.weighted_sampler = weighted_sampler;
             Ok(EstimatorKind::Lr(config))
         }
-        "nno" => Ok(EstimatorKind::Nno(NnoConfig::default())),
+        "nno" => Ok(EstimatorKind::Nno(NnoConfig)),
         "lnr" => {
             let delta = lnr_delta(region);
             Ok(EstimatorKind::Lnr(LnrLbsAggConfig {
@@ -1744,6 +1724,23 @@ repetitions = 2
                 .unwrap();
         let err = Scenario::from_value(&value).unwrap_err();
         assert!(err.to_string().contains("rowz"), "{err}");
+    }
+
+    #[test]
+    fn interface_index_key_is_rejected() {
+        // Every service answers from one grid index, so `index` is not an
+        // interface key.
+        let value =
+            toml_lite::parse("id = \"x\"\n[interface]\nkind = \"lr\"\nk = 10\nindex = \"grid\"\n")
+                .unwrap();
+        let err = Scenario::from_value(&value).unwrap_err().to_string();
+        assert!(err.contains("unknown key `index`"), "{err}");
+        assert!(
+            err.contains(
+                "(allowed: kind, k, max_radius, obfuscation_grid, query_limit, prominence_weight)"
+            ),
+            "{err}"
+        );
     }
 
     #[test]

@@ -8,41 +8,22 @@ use lbs_geom::{sort_by_distance, top_k_cell_pruned, Point, Rect};
 use lbs_service::{LbsBackend, QueryError, ReturnMode};
 
 use crate::agg::Aggregate;
-use crate::driver::SampleDriver;
 use crate::engine_stats::EngineReport;
 use crate::estimate::{Estimate, EstimateError};
 use crate::sampling::QuerySampler;
 use crate::session::{run_batch, SampleEstimator, SessionConfig};
 
-/// Configuration of the LR-LBS-NNO baseline.
-#[derive(Clone, Debug)]
-pub struct NnoConfig {
-    /// Monte-Carlo points used to estimate each Voronoi-cell area.
-    pub mc_points: usize,
-    /// Initial probe radius as a fraction of the region diagonal.
-    pub initial_radius_fraction: f64,
-    /// Maximum number of radius doublings while searching for a covering
-    /// square.
-    pub max_doublings: usize,
-    /// Answer Monte-Carlo probe points geometrically when possible: a point
-    /// outside the top-1 cell of the sampled tuple with respect to the
-    /// tuples already returned this sample (a superset of the true cell)
-    /// provably has a different nearest neighbour, so the service query can
-    /// be skipped without changing the hit/miss outcome. The paper\'s NNO
-    /// locality argument, applied to the cell engine.
-    pub use_engine_prefilter: bool,
-}
+/// Monte-Carlo points used to estimate each Voronoi-cell area.
+const MC_POINTS: usize = 12;
+/// Initial probe radius as a fraction of the region diagonal.
+const INITIAL_RADIUS_FRACTION: f64 = 0.002;
+/// Maximum number of radius doublings while searching for a covering square.
+const MAX_DOUBLINGS: usize = 12;
 
-impl Default for NnoConfig {
-    fn default() -> Self {
-        NnoConfig {
-            mc_points: 12,
-            initial_radius_fraction: 0.002,
-            max_doublings: 12,
-            use_engine_prefilter: true,
-        }
-    }
-}
+/// Configuration of the LR-LBS-NNO baseline. The baseline has no knobs: the
+/// constants above fix its probing and its Monte-Carlo area estimate.
+#[derive(Clone, Debug, Default)]
+pub struct NnoConfig;
 
 /// The LR-LBS-NNO baseline estimator.
 #[derive(Clone, Debug, Default)]
@@ -57,45 +38,19 @@ impl NnoBaseline {
     }
 
     /// Estimates `aggregate` over `region` through the LR interface
-    /// `service`, spending at most `query_budget` kNN queries: a one-thread
-    /// session with one-sample waves seeded by `rng.next_u64()`, so the
-    /// budget is checked after every sample.
-    pub fn estimate<S: LbsBackend + ?Sized, R: Rng>(
-        &mut self,
-        service: &S,
-        region: &Rect,
-        aggregate: &Aggregate,
-        query_budget: u64,
-        rng: &mut R,
-    ) -> Result<Estimate, EstimateError> {
-        let cfg = SessionConfig::new(query_budget, rng.next_u64()).with_wave_size(1);
-        run_batch(
-            service,
-            region,
-            aggregate,
-            self.config.clone(),
-            &mut EngineReport::default(),
-            cfg,
-        )
-    }
-
-    /// Estimates `aggregate` over `region` in parallel, fanning samples out
-    /// across the [`SampleDriver`]'s worker threads.
+    /// `service`, under the budget, seed and thread count of `cfg`.
     ///
-    /// Bit-identical for any thread count given the same `root_seed` (see
-    /// [`crate::driver`]); the baseline's samples are fully independent, so
-    /// only the wave-boundary budget enforcement differs from
-    /// [`NnoBaseline::estimate`].
-    pub fn estimate_parallel<S: LbsBackend + ?Sized>(
-        &mut self,
+    /// Bit-identical for any thread count given the same `cfg.root_seed`
+    /// (see [`crate::driver`]); the baseline's samples are fully
+    /// independent, so `cfg.with_wave_size(1)` only moves the budget check
+    /// to after every sample.
+    pub fn run<S: LbsBackend + ?Sized>(
+        &self,
         service: &S,
         region: &Rect,
         aggregate: &Aggregate,
-        query_budget: u64,
-        root_seed: u64,
-        driver: &SampleDriver,
+        cfg: SessionConfig,
     ) -> Result<Estimate, EstimateError> {
-        let cfg = SessionConfig::new(query_budget, root_seed).with_threads(driver.threads());
         run_batch(
             service,
             region,
@@ -145,7 +100,7 @@ impl SampleEstimator for NnoConfig {
         let mut known: Vec<Point> = resp.results.iter().filter_map(|r| r.location).collect();
 
         // Step 1: find a square that (heuristically) covers the cell.
-        let mut radius = (region.diagonal() * self.initial_radius_fraction)
+        let mut radius = (region.diagonal() * INITIAL_RADIUS_FRACTION)
             .max(q.distance(&site))
             .max(1e-6);
         let mut doublings = 0;
@@ -164,7 +119,7 @@ impl SampleEstimator for NnoConfig {
                 }
                 known.extend(r.results.iter().filter_map(|t| t.location));
             }
-            if all_escaped || doublings >= self.max_doublings {
+            if all_escaped || doublings >= MAX_DOUBLINGS {
                 break;
             }
             radius *= 2.0;
@@ -178,22 +133,19 @@ impl SampleEstimator for NnoConfig {
         // The top-1 cell of the sampled tuple with respect to the tuples
         // seen so far is a superset of its true Voronoi cell: a probe point
         // outside it provably has a different nearest neighbour, so its
-        // service query can be skipped without changing the outcome.
-        let superset_cell = if self.use_engine_prefilter {
-            sort_by_distance(&site, &mut known);
-            // The doubling rounds largely re-return the same tuples; exact
-            // duplicates sort adjacent, and dropping them costs nothing
-            // geometrically (a repeated half-plane clip is the identity)
-            // while keeping the clip counters honest.
-            known.dedup();
-            let (cell, build) = top_k_cell_pruned(&site, &known, 1, &square, true);
-            engine.record_build(&build);
-            cell.convex
-        } else {
-            None
-        };
+        // service query can be skipped without changing the outcome (the
+        // baseline's locality argument, applied to the cell engine).
+        sort_by_distance(&site, &mut known);
+        // The doubling rounds largely re-return the same tuples; exact
+        // duplicates sort adjacent, and dropping them costs nothing
+        // geometrically (a repeated half-plane clip is the identity) while
+        // keeping the clip counters honest.
+        known.dedup();
+        let (cell, build) = top_k_cell_pruned(&site, &known, 1, &square, true);
+        engine.record_build(&build);
+        let superset_cell = cell.convex;
         let mut hits = 0usize;
-        for _ in 0..self.mc_points {
+        for _ in 0..MC_POINTS {
             let p = square.at_fraction(rng.gen(), rng.gen());
             if let Some(cell) = &superset_cell {
                 if !cell.contains(&p) {
@@ -208,7 +160,7 @@ impl SampleEstimator for NnoConfig {
         }
         // Continuity correction: a zero-hit estimate would blow the
         // contribution up to infinity.
-        let fraction = (hits.max(1) as f64) / self.mc_points as f64;
+        let fraction = (hits.max(1) as f64) / MC_POINTS as f64;
         let area = fraction * square.area();
         let inverse_p = region.area() / area;
 
@@ -236,7 +188,7 @@ mod tests {
     use lbs_data::{Dataset, ScenarioBuilder};
     use lbs_service::{ServiceConfig, SimulatedLbs};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn region() -> Rect {
         Rect::from_bounds(0.0, 0.0, 200.0, 200.0)
@@ -254,15 +206,14 @@ mod tests {
         let d = dataset(150, 1);
         let truth = d.len() as f64;
         let service = SimulatedLbs::new(d, ServiceConfig::lr_lbs(10));
-        let mut est = NnoBaseline::new(NnoConfig::default());
+        let est = NnoBaseline::new(NnoConfig);
         let mut rng = StdRng::seed_from_u64(2);
         let out = est
-            .estimate(
+            .run(
                 &service,
                 &region(),
                 &Aggregate::count_all(),
-                3_000,
-                &mut rng,
+                SessionConfig::new(3_000, rng.next_u64()).with_wave_size(1),
             )
             .unwrap();
         // The baseline is noisy and biased; only require the right order of
@@ -286,22 +237,20 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let mut ours = LrLbsAgg::new(LrLbsAggConfig::default());
         let ours_out = ours
-            .estimate(
+            .run(
                 &service,
                 &region(),
                 &Aggregate::count_all(),
-                budget,
-                &mut rng,
+                SessionConfig::new(budget, rng.next_u64()).with_wave_size(1),
             )
             .unwrap();
-        let mut baseline = NnoBaseline::new(NnoConfig::default());
+        let baseline = NnoBaseline::new(NnoConfig);
         let base_out = baseline
-            .estimate(
+            .run(
                 &service,
                 &region(),
                 &Aggregate::count_all(),
-                budget,
-                &mut rng,
+                SessionConfig::new(budget, rng.next_u64()).with_wave_size(1),
             )
             .unwrap();
         // With the same budget the paper's estimator should be at least as
@@ -319,9 +268,14 @@ mod tests {
     fn rejects_rank_only_interfaces() {
         let d = dataset(20, 5);
         let service = SimulatedLbs::new(d, ServiceConfig::lnr_lbs(5));
-        let mut est = NnoBaseline::new(NnoConfig::default());
+        let est = NnoBaseline::new(NnoConfig);
         let mut rng = StdRng::seed_from_u64(6);
-        let _ = est.estimate(&service, &region(), &Aggregate::count_all(), 100, &mut rng);
+        let _ = est.run(
+            &service,
+            &region(),
+            &Aggregate::count_all(),
+            SessionConfig::new(100, rng.next_u64()).with_wave_size(1),
+        );
     }
 
     #[test]
@@ -330,10 +284,15 @@ mod tests {
         let d = dataset(10, 7);
         let cfg = ServiceConfig::lr_lbs(5).with_max_radius(1.0);
         let service = SimulatedLbs::new(d, cfg);
-        let mut est = NnoBaseline::new(NnoConfig::default());
+        let est = NnoBaseline::new(NnoConfig);
         let mut rng = StdRng::seed_from_u64(8);
         let out = est
-            .estimate(&service, &region(), &Aggregate::count_all(), 300, &mut rng)
+            .run(
+                &service,
+                &region(),
+                &Aggregate::count_all(),
+                SessionConfig::new(300, rng.next_u64()).with_wave_size(1),
+            )
             .unwrap();
         assert!(out.value.is_finite());
     }

@@ -46,8 +46,7 @@
 //! never reached).
 //!
 //! ```
-//! use lbs_core::driver::SampleDriver;
-//! use lbs_core::{Aggregate, LrLbsAgg, LrLbsAggConfig};
+//! use lbs_core::{Aggregate, LrLbsAgg, LrLbsAggConfig, SessionConfig};
 //! use lbs_data::ScenarioBuilder;
 //! use lbs_service::{ServiceConfig, SimulatedLbs};
 //! use rand::rngs::StdRng;
@@ -61,15 +60,9 @@
 //! // The same root seed gives bit-identical estimates at any thread count.
 //! let run = |threads| {
 //!     let mut estimator = LrLbsAgg::new(LrLbsAggConfig::default());
+//!     let cfg = SessionConfig::new(150, 7).with_threads(threads);
 //!     estimator
-//!         .estimate_parallel(
-//!             &service,
-//!             &region,
-//!             &Aggregate::count_all(),
-//!             150,
-//!             7,
-//!             &SampleDriver::new(threads),
-//!         )
+//!         .run(&service, &region, &Aggregate::count_all(), cfg)
 //!         .unwrap()
 //! };
 //! let serial = run(1);

@@ -20,10 +20,11 @@
 //! conditions), [`stats`] (sample statistics, confidence intervals),
 //! [`sampling`] (uniform and density-weighted query samplers), [`estimate`]
 //! (estimator output types), [`driver`] (the parallel sample driver —
-//! deterministic multi-threaded fan-out of estimator samples, exposed on
-//! every estimator as `estimate_parallel`), and [`stratified`] (per-stratum
-//! child sessions under one budget, merged by a stratified
-//! Horvitz–Thompson combiner).
+//! deterministic multi-threaded fan-out of estimator samples), [`session`]
+//! (resumable runs; every estimator's `run(service, region, aggregate,
+//! SessionConfig)` is a loop over one) and [`stratified`] (per-stratum child
+//! sessions under one budget, merged by a stratified Horvitz–Thompson
+//! combiner).
 //!
 //! The estimators are generic over [`lbs_service::LbsBackend`]; they never
 //! see the underlying dataset.

@@ -9,13 +9,11 @@
 //! paper's Theorem 2 — arbitrarily small for a logarithmic extra query cost.
 
 use rand::rngs::StdRng;
-use rand::Rng;
 
 use lbs_geom::{ClipScratch, ConvexPolygon, Rect};
 use lbs_service::{LbsBackend, QueryError, ReturnMode};
 
 use crate::agg::Aggregate;
-use crate::driver::SampleDriver;
 use crate::engine_stats::EngineReport;
 use crate::estimate::{Estimate, EstimateError};
 use crate::sampling::QuerySampler;
@@ -82,50 +80,24 @@ impl LnrLbsAgg {
     }
 
     /// Estimates `aggregate` over `region` through the rank-only interface
-    /// `service`, spending at most `query_budget` kNN queries: a one-thread
-    /// session with one-sample waves seeded by `rng.next_u64()`, so the
-    /// budget is checked after every sample.
+    /// `service`, under the budget, seed and thread count of `cfg`.
+    ///
+    /// Bit-identical for any thread count given the same `cfg.root_seed`
+    /// (see [`crate::driver`]). LNR samples carry no cross-sample state —
+    /// each one builds its own [`RankOracle`] — so there is no fork/absorb
+    /// tradeoff, and `cfg.with_wave_size(1)` only moves the budget check to
+    /// after every sample.
     ///
     /// Also works against LR interfaces (ignoring the returned locations),
     /// which is how the paper's localization experiment treats Google Places
     /// as an LNR service.
-    pub fn estimate<S: LbsBackend + ?Sized, R: Rng>(
-        &mut self,
+    pub fn run<S: LbsBackend + ?Sized>(
+        &self,
         service: &S,
         region: &Rect,
         aggregate: &Aggregate,
-        query_budget: u64,
-        rng: &mut R,
+        cfg: SessionConfig,
     ) -> Result<Estimate, EstimateError> {
-        let cfg = SessionConfig::new(query_budget, rng.next_u64()).with_wave_size(1);
-        run_batch(
-            service,
-            region,
-            aggregate,
-            self.config.clone(),
-            &mut EngineReport::default(),
-            cfg,
-        )
-    }
-
-    /// Estimates `aggregate` over `region` in parallel, fanning samples out
-    /// across the [`SampleDriver`]'s worker threads.
-    ///
-    /// Bit-identical for any thread count given the same `root_seed` (see
-    /// [`crate::driver`]). LNR samples carry no cross-sample state — each one
-    /// builds its own [`RankOracle`] — so unlike the LR estimator there is no
-    /// fork/absorb tradeoff; only the wave-boundary budget enforcement
-    /// differs from [`LnrLbsAgg::estimate`].
-    pub fn estimate_parallel<S: LbsBackend + ?Sized>(
-        &mut self,
-        service: &S,
-        region: &Rect,
-        aggregate: &Aggregate,
-        query_budget: u64,
-        root_seed: u64,
-        driver: &SampleDriver,
-    ) -> Result<Estimate, EstimateError> {
-        let cfg = SessionConfig::new(query_budget, root_seed).with_threads(driver.threads());
         run_batch(
             service,
             region,
@@ -255,7 +227,7 @@ mod tests {
     use lbs_data::{attrs, Dataset, ScenarioBuilder};
     use lbs_service::{ServiceConfig, SimulatedLbs};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn region() -> Rect {
         Rect::from_bounds(0.0, 0.0, 200.0, 200.0)
@@ -273,18 +245,17 @@ mod tests {
         let d = dataset(80, 1);
         let truth = d.len() as f64;
         let service = SimulatedLbs::new(d, ServiceConfig::lnr_lbs(10));
-        let mut est = LnrLbsAgg::new(LnrLbsAggConfig {
+        let est = LnrLbsAgg::new(LnrLbsAggConfig {
             delta: 0.2,
             ..LnrLbsAggConfig::default()
         });
         let mut rng = StdRng::seed_from_u64(2);
         let out = est
-            .estimate(
+            .run(
                 &service,
                 &region(),
                 &Aggregate::count_all(),
-                6_000,
-                &mut rng,
+                SessionConfig::new(6_000, rng.next_u64()).with_wave_size(1),
             )
             .unwrap();
         let rel = out.relative_error(truth);
@@ -304,12 +275,17 @@ mod tests {
             attr: attrs::GENDER.into(),
             value: "male".into(),
         });
-        let mut est = LnrLbsAgg::new(LnrLbsAggConfig {
+        let est = LnrLbsAgg::new(LnrLbsAggConfig {
             delta: 0.2,
             ..LnrLbsAggConfig::default()
         });
         let out = est
-            .estimate(&service, &region(), &agg, 6_000, &mut rng)
+            .run(
+                &service,
+                &region(),
+                &agg,
+                SessionConfig::new(6_000, rng.next_u64()).with_wave_size(1),
+            )
             .unwrap();
         assert!(
             out.relative_error(male_truth) < 0.6,
@@ -327,13 +303,18 @@ mod tests {
         let agg = Aggregate::count_where(Selection::InRegion(sub));
         let truth = agg.ground_truth(&d, &region());
         let service = SimulatedLbs::new(d, ServiceConfig::lnr_lbs(10));
-        let mut est = LnrLbsAgg::new(LnrLbsAggConfig {
+        let est = LnrLbsAgg::new(LnrLbsAggConfig {
             delta: 0.2,
             ..LnrLbsAggConfig::default()
         });
         let mut rng = StdRng::seed_from_u64(6);
         let out = est
-            .estimate(&service, &region(), &agg, 6_000, &mut rng)
+            .run(
+                &service,
+                &region(),
+                &agg,
+                SessionConfig::new(6_000, rng.next_u64()).with_wave_size(1),
+            )
             .unwrap();
         // Roughly half the tuples are in the sub-region; the estimate should
         // land in the right ballpark despite the inference overhead.
@@ -349,18 +330,17 @@ mod tests {
         let d = dataset(50, 7);
         let truth = d.len() as f64;
         let service = SimulatedLbs::new(d, ServiceConfig::lr_lbs(10));
-        let mut est = LnrLbsAgg::new(LnrLbsAggConfig {
+        let est = LnrLbsAgg::new(LnrLbsAggConfig {
             delta: 0.2,
             ..LnrLbsAggConfig::default()
         });
         let mut rng = StdRng::seed_from_u64(8);
         let out = est
-            .estimate(
+            .run(
                 &service,
                 &region(),
                 &Aggregate::count_all(),
-                4_000,
-                &mut rng,
+                SessionConfig::new(4_000, rng.next_u64()).with_wave_size(1),
             )
             .unwrap();
         assert!(out.relative_error(truth) < 0.6);
@@ -370,14 +350,13 @@ mod tests {
     fn hard_limit_yields_no_samples() {
         let d = dataset(30, 9);
         let service = SimulatedLbs::new(d, ServiceConfig::lnr_lbs(5).with_query_limit(2));
-        let mut est = LnrLbsAgg::new(LnrLbsAggConfig::default());
+        let est = LnrLbsAgg::new(LnrLbsAggConfig::default());
         let mut rng = StdRng::seed_from_u64(10);
-        let res = est.estimate(
+        let res = est.run(
             &service,
             &region(),
             &Aggregate::count_all(),
-            1_000,
-            &mut rng,
+            SessionConfig::new(1_000, rng.next_u64()).with_wave_size(1),
         );
         assert!(matches!(res, Err(EstimateError::NoSamples)));
     }

@@ -9,13 +9,11 @@
 //! confidence interval.
 
 use rand::rngs::StdRng;
-use rand::Rng;
 
 use lbs_geom::Rect;
 use lbs_service::{LbsBackend, QueryError, ReturnMode};
 
 use crate::agg::Aggregate;
-use crate::driver::SampleDriver;
 use crate::engine_stats::EngineReport;
 use crate::estimate::{Estimate, EstimateError};
 use crate::sampling::QuerySampler;
@@ -42,16 +40,6 @@ pub struct LrLbsAggConfig {
     /// is exact only for convex (top-1) cells, so enabling it forces
     /// `h = 1` and disables the Monte-Carlo escape.
     pub weighted_sampler: Option<lbs_data::DensityGrid>,
-    /// How many known tuples seed each cell computation.
-    pub history_neighbor_limit: usize,
-    /// Explicit half-width of the fast-initialization box, if any.
-    pub fast_init_half_width: Option<f64>,
-    /// Cap on Theorem-1 rounds per cell before the Monte-Carlo escape.
-    pub max_explore_rounds: usize,
-    /// Escape when more than this many untested vertices remain.
-    pub mc_vertex_threshold: usize,
-    /// Escape when a round shrinks the cell by less than this fraction.
-    pub mc_min_shrink: f64,
     /// Stop each cell construction at the security-radius certificate
     /// instead of clipping against every known tuple. Byte-identical
     /// estimates either way (see [`lbs_geom::cell_engine`]); off only for
@@ -71,11 +59,6 @@ impl Default for LrLbsAggConfig {
             use_history: true,
             use_mc_bounds: true,
             weighted_sampler: None,
-            history_neighbor_limit: 32,
-            fast_init_half_width: None,
-            max_explore_rounds: 64,
-            mc_vertex_threshold: 14,
-            mc_min_shrink: 0.02,
             prune_cells: true,
             cache_cells: true,
         }
@@ -126,25 +109,22 @@ impl LrLbsAggConfig {
         }
     }
 
+    /// The per-cell exploration settings: this configuration's switches over
+    /// the explorer's default limits.
     fn explore_config(&self) -> ExploreConfig {
         ExploreConfig {
             use_fast_init: self.use_fast_init,
             use_history: self.use_history,
             use_mc_bounds: self.use_mc_bounds && self.weighted_sampler.is_none(),
-            fast_init_half_width: self.fast_init_half_width,
-            history_neighbor_limit: self.history_neighbor_limit,
-            max_rounds: self.max_explore_rounds,
-            mc_vertex_threshold: self.mc_vertex_threshold,
-            mc_min_shrink: self.mc_min_shrink,
-            max_mc_trials: 4_000,
             use_pruned_cells: self.prune_cells,
             use_cell_cache: self.cache_cells,
+            ..ExploreConfig::default()
         }
     }
 }
 
 /// The LR-LBS-AGG estimator. Holds the cross-sample history so that repeated
-/// [`LrLbsAgg::estimate`] calls on the same service keep benefiting from it.
+/// [`LrLbsAgg::run`] calls on the same service keep benefiting from it.
 #[derive(Clone, Debug, Default)]
 pub struct LrLbsAgg {
     config: LrLbsAggConfig,
@@ -171,60 +151,25 @@ impl LrLbsAgg {
     }
 
     /// Estimates `aggregate` over `region` through the LR interface
-    /// `service`, spending at most `query_budget` kNN queries.
-    ///
-    /// A one-thread session with one-sample waves, seeded by
-    /// `rng.next_u64()`: the budget is checked after every sample, so only
-    /// the sample in flight can overshoot it (mirroring how one would use a
-    /// daily API quota), and every sample explores with the history of all
-    /// earlier ones.
-    pub fn estimate<S: LbsBackend + ?Sized, R: Rng>(
-        &mut self,
-        service: &S,
-        region: &Rect,
-        aggregate: &Aggregate,
-        query_budget: u64,
-        rng: &mut R,
-    ) -> Result<Estimate, EstimateError> {
-        let cfg = SessionConfig::new(query_budget, rng.next_u64()).with_wave_size(1);
-        self.run(service, region, aggregate, cfg)
-    }
-
-    /// Estimates `aggregate` over `region` in parallel, fanning samples out
-    /// across the [`SampleDriver`]'s worker threads.
+    /// `service`, under the budget, seed and thread count of `cfg`, starting
+    /// from the accumulated history and adding what the run learns to it.
     ///
     /// The result is **bit-identical for any thread count** given the same
-    /// `root_seed` (see the [`crate::driver`] module docs for the exact
+    /// `cfg.root_seed` (see the [`crate::driver`] module docs for the exact
     /// contract): every sample draws its own `StdRng` seeded from
     /// `(root_seed, sample_index)`, and per-chunk statistics are merged in a
-    /// fixed order.
-    ///
-    /// Semantics differ from [`LrLbsAgg::estimate`] in two documented ways:
-    /// the soft budget is enforced at adaptive wave boundaries instead of
-    /// per sample (so the overshoot can be a few samples rather than one),
-    /// and the §3.2.2 history is shared between concurrent samples only at
-    /// those boundaries — each worker chunk forks the history and the driver
-    /// absorbs the forks back deterministically, trading a little per-query
-    /// efficiency for wall-clock speed without giving up unbiasedness.
+    /// fixed order. The budget is checked at wave boundaries, so the
+    /// overshoot is at most the wave in flight, and the §3.2.2 history is
+    /// shared between concurrent samples only at those boundaries — each
+    /// worker chunk forks the history and the driver absorbs the forks back
+    /// deterministically. `cfg.with_wave_size(1)` checks the budget after
+    /// every sample (mirroring how one would use a daily API quota) and lets
+    /// every sample explore with the history of all earlier ones.
     ///
     /// Under a *hard* service limit, `query_cost` counts only the queries of
     /// completed samples (see [`crate::driver::DriverOutcome::queries`]);
     /// the service's own `queries_issued()` ledger remains authoritative.
-    pub fn estimate_parallel<S: LbsBackend + ?Sized>(
-        &mut self,
-        service: &S,
-        region: &Rect,
-        aggregate: &Aggregate,
-        query_budget: u64,
-        root_seed: u64,
-        driver: &SampleDriver,
-    ) -> Result<Estimate, EstimateError> {
-        let cfg = SessionConfig::new(query_budget, root_seed).with_threads(driver.threads());
-        self.run(service, region, aggregate, cfg)
-    }
-
-    /// Runs a session over the accumulated history.
-    fn run<S: LbsBackend + ?Sized>(
+    pub fn run<S: LbsBackend + ?Sized>(
         &mut self,
         service: &S,
         region: &Rect,
@@ -268,6 +213,7 @@ impl SampleEstimator for LrLbsAggConfig {
         rng: &mut StdRng,
     ) -> Result<(f64, f64), QueryError> {
         let k = service.config().k;
+        let explore = self.explore_config();
         let q = sampler.sample(rng);
         let resp = service.query(&q)?;
 
@@ -292,7 +238,7 @@ impl SampleEstimator for LrLbsAggConfig {
                         k,
                         region,
                         history,
-                        self.history_neighbor_limit,
+                        explore.history_neighbor_limit,
                         self.cache_cells,
                     ),
                 },
@@ -316,7 +262,7 @@ impl SampleEstimator for LrLbsAggConfig {
                 h,
                 region,
                 history,
-                &self.explore_config(),
+                &explore,
                 rng,
             )?;
 
@@ -376,7 +322,7 @@ mod tests {
     use lbs_data::{attrs, Dataset, ScenarioBuilder};
     use lbs_service::{ServiceConfig, SimulatedLbs};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn region() -> Rect {
         Rect::from_bounds(0.0, 0.0, 200.0, 200.0)
@@ -397,12 +343,11 @@ mod tests {
         let mut est = LrLbsAgg::new(LrLbsAggConfig::default());
         let mut rng = StdRng::seed_from_u64(2);
         let out = est
-            .estimate(
+            .run(
                 &service,
                 &region(),
                 &Aggregate::count_all(),
-                2_500,
-                &mut rng,
+                SessionConfig::new(2_500, rng.next_u64()).with_wave_size(1),
             )
             .unwrap();
         assert!(out.samples > 5);
@@ -423,12 +368,11 @@ mod tests {
         let mut est = LrLbsAgg::new(LrLbsAggConfig::default());
         let mut rng = StdRng::seed_from_u64(4);
         let out = est
-            .estimate(
+            .run(
                 &service,
                 &region(),
                 &Aggregate::count_restaurants(),
-                2_500,
-                &mut rng,
+                SessionConfig::new(2_500, rng.next_u64()).with_wave_size(1),
             )
             .unwrap();
         let rel = out.relative_error(truth);
@@ -456,12 +400,11 @@ mod tests {
         // needs a larger budget than COUNT before a single fixed-seed run is
         // reliably within tolerance.
         let sum_out = est
-            .estimate(
+            .run(
                 &service,
                 &region(),
                 &Aggregate::sum_school_enrollment(),
-                8_000,
-                &mut rng,
+                SessionConfig::new(8_000, rng.next_u64()).with_wave_size(1),
             )
             .unwrap();
         assert!(
@@ -471,7 +414,12 @@ mod tests {
         );
 
         let avg_out = est
-            .estimate(&service, &region(), &avg_agg, 2_000, &mut rng)
+            .run(
+                &service,
+                &region(),
+                &avg_agg,
+                SessionConfig::new(2_000, rng.next_u64()).with_wave_size(1),
+            )
             .unwrap();
         // AVG is a ratio of two correlated estimates and converges fast.
         assert!(
@@ -493,7 +441,12 @@ mod tests {
             let mut est = LrLbsAgg::new(LrLbsAggConfig::default());
             let mut rng = StdRng::seed_from_u64(100 + seed);
             let out = est
-                .estimate(&service, &region(), &Aggregate::count_all(), 400, &mut rng)
+                .run(
+                    &service,
+                    &region(),
+                    &Aggregate::count_all(),
+                    SessionConfig::new(400, rng.next_u64()).with_wave_size(1),
+                )
                 .unwrap();
             means.push(out.value);
         }
@@ -508,7 +461,12 @@ mod tests {
         let mut est = LrLbsAgg::new(LrLbsAggConfig::default());
         let mut rng = StdRng::seed_from_u64(10);
         let out = est
-            .estimate(&service, &region(), &Aggregate::count_all(), 800, &mut rng)
+            .run(
+                &service,
+                &region(),
+                &Aggregate::count_all(),
+                SessionConfig::new(800, rng.next_u64()).with_wave_size(1),
+            )
             .unwrap();
         assert!(!out.trace.is_empty());
         for w in out.trace.windows(2) {
@@ -545,14 +503,24 @@ mod tests {
 
             let mut uniform_est = LrLbsAgg::new(LrLbsAggConfig::default());
             let uniform_out = uniform_est
-                .estimate(&service, &bbox, &Aggregate::count_all(), 3_000, &mut rng)
+                .run(
+                    &service,
+                    &bbox,
+                    &Aggregate::count_all(),
+                    SessionConfig::new(3_000, rng.next_u64()).with_wave_size(1),
+                )
                 .unwrap();
             let mut weighted_est = LrLbsAgg::new(LrLbsAggConfig {
                 weighted_sampler: Some(grid),
                 ..LrLbsAggConfig::default()
             });
             let weighted_out = weighted_est
-                .estimate(&service, &bbox, &Aggregate::count_all(), 3_000, &mut rng)
+                .run(
+                    &service,
+                    &bbox,
+                    &Aggregate::count_all(),
+                    SessionConfig::new(3_000, rng.next_u64()).with_wave_size(1),
+                )
                 .unwrap();
             uniform_sd += uniform_out.per_sample.std_dev;
             weighted_sd += weighted_out.per_sample.std_dev;
@@ -570,7 +538,12 @@ mod tests {
         let service = SimulatedLbs::new(d, ServiceConfig::lnr_lbs(5));
         let mut est = LrLbsAgg::new(LrLbsAggConfig::default());
         let mut rng = StdRng::seed_from_u64(14);
-        let _ = est.estimate(&service, &region(), &Aggregate::count_all(), 100, &mut rng);
+        let _ = est.run(
+            &service,
+            &region(),
+            &Aggregate::count_all(),
+            SessionConfig::new(100, rng.next_u64()).with_wave_size(1),
+        );
     }
 
     #[test]
@@ -579,7 +552,12 @@ mod tests {
         let service = SimulatedLbs::new(d, ServiceConfig::lr_lbs(5).with_query_limit(1));
         let mut est = LrLbsAgg::new(LrLbsAggConfig::default());
         let mut rng = StdRng::seed_from_u64(16);
-        let res = est.estimate(&service, &region(), &Aggregate::count_all(), 100, &mut rng);
+        let res = est.run(
+            &service,
+            &region(),
+            &Aggregate::count_all(),
+            SessionConfig::new(100, rng.next_u64()).with_wave_size(1),
+        );
         assert!(matches!(res, Err(EstimateError::NoSamples)));
     }
 }

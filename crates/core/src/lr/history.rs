@@ -468,7 +468,7 @@ impl History {
     /// Estimators call this on their long-lived top-level history at the end
     /// of a run: that history is only ever forked *from*, never absorbed
     /// into another one, so keeping the log would grow memory without bound
-    /// across repeated `estimate`/`estimate_parallel` calls.
+    /// across repeated `run` calls.
     pub fn discard_delta_log(&mut self) {
         self.delta = DeltaLog::default();
     }

@@ -18,11 +18,9 @@
 //! shared query budgets through the type-erased [`EstimationSession`].
 //!
 //! Every sample draws a private RNG seeded from `(root_seed, sample_index)`,
-//! so results are bit-identical at every thread count. The batch facades are
-//! thin loops over sessions: `estimate_parallel` runs adaptive waves with no
-//! overrides, and the serial `estimate(…, &mut rng)` runs one thread with
-//! one-sample waves, seeded by `rng.next_u64()`, so its budget and the LR
-//! history are checked and shared after every sample.
+//! so results are bit-identical at every thread count. Each estimator's
+//! batch entry point, `run(service, region, aggregate, cfg)`, is a loop over
+//! a session that steps by whole waves until it finishes.
 //!
 //! # Checkpoint / resume determinism
 //!
@@ -44,9 +42,8 @@
 //! # Early stopping
 //!
 //! Sessions stop at the first of: soft budget spent (the wave in flight
-//! finishes, mirroring the batch overshoot), target confidence reached
-//! (`target_ci_halfwidth`), wall-clock cap (`max_wall_ms`), hard service
-//! limit, or a caller's cancel. The budget, precision and wall-clock rules
+//! finishes), target confidence reached (`target_ci_halfwidth`), wall-clock
+//! cap (`max_wall_ms`), hard service limit, or a caller's cancel. The budget, precision and wall-clock rules
 //! are checked at wave boundaries only, never between the chunk rounds of a
 //! wave; a cancel takes effect at once. The [`StopReason`] is reported in
 //! every [`AnytimeSnapshot`].
@@ -75,7 +72,7 @@ use crate::stratified::{StratifiedSession, StratifiedSessionState};
 pub struct SessionConfig {
     /// Soft query budget; the session stops scheduling new waves once the
     /// completed samples have spent it (the wave in flight finishes, so the
-    /// actual cost can overshoot — exactly like the batch facades).
+    /// actual cost can overshoot by up to one wave).
     pub query_budget: u64,
     /// Root of the per-sample RNG seed derivation
     /// ([`crate::driver::sample_seed`]).
@@ -83,11 +80,11 @@ pub struct SessionConfig {
     /// Worker threads per wave (`0` = all cores). Results are bit-identical
     /// at every thread count.
     pub threads: usize,
-    /// Fixed samples per wave. `None` keeps the adaptive sizing of the batch
-    /// path (byte-identical to `estimate_parallel`); `Some(n)` pins every
-    /// wave to `n` samples, so the budget and early-stop rules run after
-    /// every `n` samples. (Any chunk boundary is a checkpointable sample
-    /// index, whatever the wave size.)
+    /// Fixed samples per wave. `None` keeps the driver's adaptive sizing;
+    /// `Some(n)` pins every wave to `n` samples, so the budget and
+    /// early-stop rules run (and the LR history is shared) after every `n`
+    /// samples. (Any chunk boundary is a checkpointable sample index,
+    /// whatever the wave size.)
     pub wave_size: Option<u64>,
     /// Stop early once the 95 % confidence interval half-width
     /// (`1.96 × std_error`) drops to this value or below (checked at wave
@@ -100,9 +97,8 @@ pub struct SessionConfig {
 }
 
 impl SessionConfig {
-    /// A single-threaded session with the given budget and seed and no
-    /// early-stop rules — the configuration whose final estimate is
-    /// byte-identical to the batch `estimate_parallel` facades.
+    /// A single-threaded session with the given budget and seed, adaptive
+    /// waves and no early-stop rules.
     pub fn new(query_budget: u64, root_seed: u64) -> Self {
         SessionConfig {
             query_budget,
@@ -558,7 +554,7 @@ impl<E: SampleEstimator, S: LbsBackend> Session<E, S> {
     }
 
     /// The final (or current — sessions are anytime) [`Estimate`],
-    /// bit-identical to what the batch facades produce for the same
+    /// bit-identical to what the estimators' `run` produces for the same
     /// configuration.
     pub fn finalize(&self) -> Result<Estimate, EstimateError> {
         let outcome = &self.state.wave.outcome;
@@ -622,17 +618,16 @@ impl<E: SampleEstimator, S: LbsBackend> Session<E, S> {
 }
 
 impl<S: LbsBackend> LrSession<S> {
-    /// Consumes the session, handing back the accumulated history (the
-    /// batch facades thread it back into the estimator).
+    /// Consumes the session, handing back the accumulated history.
     pub fn into_history(self) -> History {
         self.state.master
     }
 }
 
-/// Runs a session to completion by whole waves — the loop of the batch
-/// facades — over the caller's long-lived chunk state (the LR history),
-/// which is taken for the run and handed back after it. An interface the
-/// estimator rejects panics before `state` is touched.
+/// Runs a session to completion by whole waves — the loop of every
+/// estimator's `run` — over the caller's long-lived chunk state (the LR
+/// history), which is taken for the run and handed back after it. An
+/// interface the estimator rejects panics before `state` is touched.
 pub(crate) fn run_batch<E: SampleEstimator, S: LbsBackend>(
     service: S,
     region: &Rect,

@@ -184,7 +184,7 @@ impl Rect {
     }
 
     /// Squared distance from `p` to the closest point of the rectangle
-    /// (zero when `p` is inside). Used by the k-d tree pruning rule.
+    /// (zero when `p` is inside).
     pub fn distance_sq_to_point(&self, p: &Point) -> f64 {
         let dx = if p.x < self.min_x {
             self.min_x - p.x

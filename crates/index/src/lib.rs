@@ -5,36 +5,32 @@
 //! The location based services modelled by the paper answer kNN queries over
 //! their hidden tuple databases. This crate is the "database side" of the
 //! simulator in `lbs-service`: it stores the tuple locations and answers
-//! exact kNN and radius queries. Three interchangeable backends are provided
-//! behind the [`SpatialIndex`] trait:
+//! exact kNN and radius queries. Two implementations of the
+//! [`SpatialIndex`] trait are provided:
 //!
-//! * [`BruteForceIndex`] — the obviously-correct `O(n)` scan, used as the
-//!   oracle in tests and fine for small databases;
 //! * [`GridIndex`] — a uniform bucket grid with ring-expansion search, the
-//!   default backend of the simulator (the experiment datasets are roughly
-//!   uniform within urban clusters, which grids handle well);
-//! * [`KdTree`] — a classic median-split k-d tree with branch-and-bound
-//!   search, better for very skewed data.
+//!   index every simulated service is built on (it builds in ~10 ms over a
+//!   paper-size table);
+//! * [`BruteForceIndex`] — the obviously-correct `O(n)` scan, the oracle the
+//!   grid is tested against.
 //!
-//! All backends return *exact* results ordered by increasing Euclidean
-//! distance with ties broken by point id, so any backend can be substituted
-//! for any other without changing simulator behaviour.
+//! Both return *exact* results ordered by increasing Euclidean distance with
+//! ties broken by point id, and the grid's distances equal the oracle's to
+//! the last bit.
 //!
-//! Every backend is immutable after `build` and `Send + Sync` (enforced by
-//! the [`SpatialIndex`] supertraits and a compile-time test), so one index
-//! can serve concurrent readers — which is what the parallel sample driver
-//! in `lbs-core` does when it fans estimator samples across threads.
+//! An index is immutable after `build` and `Send + Sync` (enforced by the
+//! [`SpatialIndex`] supertraits and a compile-time test), so one index can
+//! serve concurrent readers — which is what the parallel sample driver in
+//! `lbs-core` does when it fans estimator samples across threads.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod bruteforce;
 mod grid;
-mod kdtree;
 
 pub use bruteforce::BruteForceIndex;
 pub use grid::GridIndex;
-pub use kdtree::KdTree;
 
 use lbs_geom::Point;
 
@@ -76,8 +72,8 @@ pub trait SpatialIndex: Send + Sync {
     }
 }
 
-/// Sorts neighbours by `(distance, id)` — the canonical order every backend
-/// must produce so that results are deterministic and backend-independent.
+/// Sorts neighbours by `(distance, id)` — the canonical order every index
+/// must produce so that results are deterministic and index-independent.
 ///
 /// `total_cmp` orders exactly like `partial_cmp` on the finite distances real
 /// queries produce, but stays a total order even if a NaN distance ever
@@ -140,7 +136,6 @@ mod tests {
                 Box::new(BruteForceIndex::build(points)) as Box<dyn SpatialIndex>,
             ),
             ("grid", Box::new(GridIndex::build(points))),
-            ("kdtree", Box::new(KdTree::build(points))),
         ]
     }
 
@@ -166,12 +161,11 @@ mod tests {
 
     #[test]
     fn radius_queries_are_bit_identical_across_backends() {
-        // The hot loops of all three `within_radius` implementations compare
+        // The hot loops of both `within_radius` implementations compare
         // *squared* distances and take a single sqrt per emitted neighbour,
         // over the same `(dx² + dy²)` expression — so the returned distances
-        // must agree to the last bit, not merely within a tolerance. This
-        // locks the invariant the simulator's pluggable `index` knob relies
-        // on: swapping backends can never perturb an estimate.
+        // must agree to the last bit, not merely within a tolerance: the
+        // grid answers exactly what the oracle would.
         let points = random_points(350, 91);
         let oracle = BruteForceIndex::build(&points);
         let mut rng = StdRng::seed_from_u64(17);
@@ -196,7 +190,7 @@ mod tests {
 
     #[test]
     fn knn_distances_are_bit_identical_across_backends() {
-        // Same bit-level contract for the kNN path: every backend derives
+        // Same bit-level contract for the kNN path: both indexes derive
         // the emitted distance as sqrt(distance_sq) of the identical
         // squared-distance expression.
         let points = random_points(280, 57);
@@ -340,7 +334,6 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<BruteForceIndex>();
         assert_send_sync::<GridIndex>();
-        assert_send_sync::<KdTree>();
     }
 
     #[test]
@@ -349,7 +342,6 @@ mod tests {
         // index and every answer must match the single-threaded oracle.
         let points = random_points(500, 77);
         let grid = GridIndex::build(&points);
-        let kdtree = KdTree::build(&points);
         let oracle = BruteForceIndex::build(&points);
 
         let queries: Vec<(Point, usize)> = {
@@ -370,7 +362,7 @@ mod tests {
 
         std::thread::scope(|scope| {
             for worker in 0..4usize {
-                let (grid, kdtree, queries, expected) = (&grid, &kdtree, &queries, &expected);
+                let (grid, queries, expected) = (&grid, &queries, &expected);
                 scope.spawn(move || {
                     // Each worker walks the query list from a different
                     // offset so the threads interleave distinct probes.
@@ -379,9 +371,6 @@ mod tests {
                         let (q, k) = &queries[slot];
                         let got: Vec<usize> = grid.k_nearest(q, *k).iter().map(|n| n.id).collect();
                         assert_eq!(got, expected[slot], "grid, query {slot}");
-                        let got: Vec<usize> =
-                            kdtree.k_nearest(q, *k).iter().map(|n| n.id).collect();
-                        assert_eq!(got, expected[slot], "kdtree, query {slot}");
                     }
                 });
             }

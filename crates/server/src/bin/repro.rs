@@ -56,8 +56,8 @@ use lbs_bench::{
     run_experiment_threaded, BenchRecord, BenchReport, Scale, Scenario, ScenarioContext,
 };
 use lbs_server::{
-    http_request, run_cache_probe, run_loadtest, run_session_probe, LoadtestOptions, Scheduler,
-    SchedulerConfig, Server, ServerState,
+    http_request, run_cache_probe, run_loadtest, run_session_probe, value_u64, LoadtestOptions,
+    Scheduler, SchedulerConfig, Server, ServerState,
 };
 
 struct Options {
@@ -781,16 +781,6 @@ fn run_serve(options: ServeOptions) -> ExitCode {
     server.join();
     println!("server stopped");
     ExitCode::SUCCESS
-}
-
-/// Reads a `u64` out of a JSON map field.
-fn value_u64(value: &serde::Value, key: &str) -> Option<u64> {
-    match value.get(key) {
-        Some(serde::Value::U64(n)) => Some(*n),
-        Some(serde::Value::I64(n)) => u64::try_from(*n).ok(),
-        Some(serde::Value::F64(n)) if n.fract() == 0.0 && *n >= 0.0 => Some(*n as u64),
-        _ => None,
-    }
 }
 
 fn run_client(options: ClientOptions) -> ExitCode {

@@ -288,6 +288,17 @@ fn read_response(reader: &mut BufReader<TcpStream>) -> Result<(u16, String, bool
     Ok((status, body, server_closes))
 }
 
+/// Reads a `u64` field out of a JSON reply map (`job_id`, `samples`, …),
+/// accepting any number form that holds a non-negative integer.
+pub fn value_u64(value: &Value, key: &str) -> Option<u64> {
+    match value.get(key) {
+        Some(Value::U64(n)) => Some(*n),
+        Some(Value::I64(n)) => u64::try_from(*n).ok(),
+        Some(Value::F64(n)) if n.fract() == 0.0 && *n >= 0.0 => Some(*n as u64),
+        _ => None,
+    }
+}
+
 /// Issues one HTTP request against `addr` and returns `(status, body)`.
 ///
 /// Opens a fresh `Connection: close` socket per call — the simplest correct

@@ -45,7 +45,7 @@ pub mod queue;
 pub mod scheduler;
 
 pub use event_loop::{HttpStats, Server, ServerConfig, ServerState};
-pub use http::{http_request, HttpClient};
+pub use http::{http_request, value_u64, HttpClient};
 pub use loadtest::{run_loadtest, LoadtestOptions};
 pub use probe::{run_cache_probe, run_session_probe};
 pub use queue::SubmissionQueue;

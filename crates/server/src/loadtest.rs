@@ -26,7 +26,7 @@ use lbs_bench::{LoadtestBenchReport, Scale, Scenario, ScenarioContext};
 use serde::{Deserialize, Value};
 
 use crate::event_loop::{Server, ServerConfig, ServerState};
-use crate::http::HttpClient;
+use crate::http::{value_u64, HttpClient};
 use crate::scheduler::{Scheduler, SchedulerConfig};
 
 /// Knobs of [`run_loadtest`], mirroring the `repro loadtest` flags.
@@ -96,16 +96,6 @@ fn loadtest_scenario(c: usize, j: usize, options: &LoadtestOptions) -> (Value, S
     let scenario = Scenario::from_value(&value).expect("loadtest scenario deserializes");
     scenario.validate().expect("loadtest scenario validates");
     (value, scenario)
-}
-
-/// Reads a `u64` out of a JSON map field.
-fn value_u64(value: &Value, key: &str) -> Option<u64> {
-    match value.get(key) {
-        Some(Value::U64(n)) => Some(*n),
-        Some(Value::I64(n)) => u64::try_from(*n).ok(),
-        Some(Value::F64(n)) if n.fract() == 0.0 && *n >= 0.0 => Some(*n as u64),
-        _ => None,
-    }
 }
 
 /// What one client thread brings home.

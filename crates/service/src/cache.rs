@@ -101,10 +101,8 @@ fn mix(acc: u64, value: u64) -> u64 {
 /// The version stamp cache keys carry: the dataset content fingerprint mixed
 /// with the answer-affecting parts of the service configuration.
 ///
-/// `index` is excluded because every index backend returns identical answers
-/// (locked by an equivalence test in `lbs-index`), and `query_limit` is
-/// excluded because it only affects the ledger — backends differing in just
-/// those share cached answers.
+/// `query_limit` is excluded because it only affects the ledger — backends
+/// differing in just that share cached answers.
 pub fn backend_fingerprint(dataset: &Dataset, config: &ServiceConfig) -> u64 {
     let mut h = mix(0x616e_7377_6572_6b65, dataset.fingerprint());
     h = mix(h, config.k as u64);
@@ -641,10 +639,6 @@ mod tests {
         assert_eq!(
             fp,
             backend_fingerprint(&d, &base.clone().with_query_limit(10))
-        );
-        assert_eq!(
-            fp,
-            backend_fingerprint(&d, &base.clone().with_index(crate::IndexKind::Brute))
         );
         assert_ne!(fp, backend_fingerprint(&d, &ServiceConfig::lr_lbs(4)));
         assert_ne!(

@@ -12,26 +12,6 @@ pub enum ReturnMode {
     RankOnly,
 }
 
-/// Which spatial index backend the simulator answers kNN queries from.
-///
-/// Every backend returns *exact* results in the same canonical
-/// `(distance, id)` order (see `lbs-index`), so the choice changes query
-/// latency only — estimates are bit-identical across backends, which is
-/// locked by an equivalence test in `lbs-index`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum IndexKind {
-    /// Uniform bucket grid with ring-expansion search (the default; best for
-    /// the roughly-uniform urban clusters of the experiment datasets).
-    #[default]
-    Grid,
-    /// Median-split k-d tree with branch-and-bound search (better for very
-    /// skewed data).
-    KdTree,
-    /// The `O(n)` linear scan (correctness oracle; fine for small
-    /// databases).
-    Brute,
-}
-
 /// Ranking function applied to candidate tuples.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub enum Ranking {
@@ -65,9 +45,6 @@ pub struct ServiceConfig {
     /// Hard limit on the number of queries the interface will answer;
     /// `None` means unlimited (offline experiments meter budgets themselves).
     pub query_limit: Option<u64>,
-    /// Spatial index backend answering the kNN queries. Answer-preserving:
-    /// every backend is exact, so this only trades build/query time.
-    pub index: IndexKind,
 }
 
 impl ServiceConfig {
@@ -81,7 +58,6 @@ impl ServiceConfig {
             ranking: Ranking::Distance,
             obfuscation_grid: None,
             query_limit: None,
-            index: IndexKind::default(),
         }
     }
 
@@ -95,7 +71,6 @@ impl ServiceConfig {
             ranking: Ranking::Distance,
             obfuscation_grid: None,
             query_limit: None,
-            index: IndexKind::default(),
         }
     }
 
@@ -120,12 +95,6 @@ impl ServiceConfig {
     /// Sets a hard query limit.
     pub fn with_query_limit(mut self, limit: u64) -> Self {
         self.query_limit = Some(limit);
-        self
-    }
-
-    /// Selects the spatial index backend.
-    pub fn with_index(mut self, index: IndexKind) -> Self {
-        self.index = index;
         self
     }
 }

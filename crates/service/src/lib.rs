@@ -26,7 +26,7 @@
 //!
 //! The entry point is [`SimulatedLbs`], an implementation of the pluggable
 //! [`LbsBackend`] trait over an `lbs-data` [`lbs_data::Dataset`] backed by
-//! an exact `lbs-index` kNN index. Estimators are generic over
+//! an exact `lbs-index` grid kNN index. Estimators are generic over
 //! [`LbsBackend`], so the simulator can be swapped for — or wrapped in —
 //! the composable decorators of [`backend`] ([`RateLimitedBackend`],
 //! [`LatencyBackend`], [`TruncatingBackend`]) without touching estimator
@@ -48,7 +48,7 @@ mod service;
 pub use backend::{LatencyBackend, LbsBackend, RateLimitedBackend, TruncatingBackend};
 pub use budget::QueryBudget;
 pub use cache::{backend_fingerprint, AnswerCache, CacheKey, CacheStats, CachingBackend};
-pub use config::{IndexKind, Ranking, ReturnMode, ServiceConfig};
+pub use config::{Ranking, ReturnMode, ServiceConfig};
 pub use counter::QueryCounter;
 pub use interface::{PassThroughFilter, QueryError, QueryResponse, ReturnedTuple};
 pub use service::SimulatedLbs;

@@ -22,11 +22,11 @@ use std::sync::Arc;
 
 use lbs_data::{Attributes, Dataset, Tuple, TupleId};
 use lbs_geom::{Point, Rect};
-use lbs_index::{BruteForceIndex, GridIndex, KdTree, SpatialIndex};
+use lbs_index::{GridIndex, SpatialIndex};
 
 use crate::backend::LbsBackend;
 use crate::budget::QueryBudget;
-use crate::config::{IndexKind, Ranking, ReturnMode, ServiceConfig};
+use crate::config::{Ranking, ReturnMode, ServiceConfig};
 use crate::interface::{PassThroughFilter, QueryError, QueryResponse, ReturnedTuple};
 
 /// A simulated LBS over a synthetic dataset.
@@ -39,7 +39,7 @@ pub struct SimulatedLbs {
     attributes: Arc<Vec<Attributes>>,
     /// Positions (ranking locations, possibly obfuscated) in index order.
     ranking_locations: Arc<Vec<Point>>,
-    index: Arc<dyn SpatialIndex>,
+    index: Arc<GridIndex>,
     config: ServiceConfig,
     budget: Arc<QueryBudget>,
 }
@@ -86,20 +86,12 @@ impl SimulatedLbs {
                 _ => t.location,
             })
             .collect();
-        // Every backend is exact with the same canonical result order, so
-        // the choice is answer-preserving (locked by an equivalence test in
-        // `lbs-index`).
-        let index: Arc<dyn SpatialIndex> = match config.index {
-            IndexKind::Grid => Arc::new(GridIndex::build(&ranking_locations)),
-            IndexKind::KdTree => Arc::new(KdTree::build(&ranking_locations)),
-            IndexKind::Brute => Arc::new(BruteForceIndex::build(&ranking_locations)),
-        };
         SimulatedLbs {
             dataset,
             ids: Arc::new(ids),
             attributes: Arc::new(attributes),
+            index: Arc::new(GridIndex::build(&ranking_locations)),
             ranking_locations: Arc::new(ranking_locations),
-            index,
             config,
             budget,
         }

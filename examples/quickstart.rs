@@ -7,11 +7,11 @@
 
 #![forbid(unsafe_code)]
 
-use lbs::core::{Aggregate, LnrLbsAgg, LnrLbsAggConfig, LrLbsAgg, LrLbsAggConfig};
+use lbs::core::{Aggregate, LnrLbsAgg, LnrLbsAggConfig, LrLbsAgg, LrLbsAggConfig, SessionConfig};
 use lbs::data::ScenarioBuilder;
 use lbs::service::{LbsBackend, ServiceConfig, SimulatedLbs};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(7);
@@ -29,15 +29,11 @@ fn main() {
     // 1) A Google-Maps-like interface: top-10 nearest tuples, locations
     //    returned. LR-LBS-AGG computes exact Voronoi cells and is unbiased.
     let lr_service = SimulatedLbs::new(dataset.clone(), ServiceConfig::lr_lbs(10));
+    //    One worker thread; the budget is checked after every sample.
     let mut lr = LrLbsAgg::new(LrLbsAggConfig::default());
+    let cfg = SessionConfig::new(2_000, rng.next_u64()).with_wave_size(1);
     let estimate = lr
-        .estimate(
-            &lr_service,
-            &region,
-            &Aggregate::count_all(),
-            2_000,
-            &mut rng,
-        )
+        .run(&lr_service, &region, &Aggregate::count_all(), cfg)
         .expect("estimation succeeds");
     println!(
         "LR-LBS-AGG : COUNT(*) ≈ {:.0}  (95% CI {:.0}..{:.0}, {} queries, rel err {:.1}%)",
@@ -51,18 +47,13 @@ fn main() {
     // 2) A WeChat-like interface: same database, but only ranked ids are
     //    returned. LNR-LBS-AGG infers Voronoi cells from ranks alone.
     let lnr_service = SimulatedLbs::new(dataset, ServiceConfig::lnr_lbs(10));
-    let mut lnr = LnrLbsAgg::new(LnrLbsAggConfig {
+    let lnr = LnrLbsAgg::new(LnrLbsAggConfig {
         delta: 1.0, // km; coarser edges keep the demo fast
         ..LnrLbsAggConfig::default()
     });
+    let cfg = SessionConfig::new(4_000, rng.next_u64()).with_wave_size(1);
     let estimate = lnr
-        .estimate(
-            &lnr_service,
-            &region,
-            &Aggregate::count_all(),
-            4_000,
-            &mut rng,
-        )
+        .run(&lnr_service, &region, &Aggregate::count_all(), cfg)
         .expect("estimation succeeds");
     println!(
         "LNR-LBS-AGG: COUNT(*) ≈ {:.0}  ({} queries, rel err {:.1}%)",

@@ -9,11 +9,11 @@
 
 #![forbid(unsafe_code)]
 
-use lbs::core::{Aggregate, LrLbsAgg, LrLbsAggConfig, Selection};
+use lbs::core::{Aggregate, LrLbsAgg, LrLbsAggConfig, Selection, SessionConfig};
 use lbs::data::{attrs, ScenarioBuilder};
 use lbs::service::{PassThroughFilter, ServiceConfig, SimulatedLbs};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(11);
@@ -30,15 +30,11 @@ fn main() {
     let google = SimulatedLbs::new(dataset.clone(), ServiceConfig::lr_lbs(10));
     let starbucks_view = google.filtered(&PassThroughFilter::equals(attrs::BRAND, "Starbucks"));
 
+    // One worker thread; the budget is checked after every sample.
     let mut estimator = LrLbsAgg::new(LrLbsAggConfig::default());
+    let cfg = SessionConfig::new(2_500, rng.next_u64()).with_wave_size(1);
     let estimate = estimator
-        .estimate(
-            &starbucks_view,
-            &region,
-            &Aggregate::count_all(),
-            2_500,
-            &mut rng,
-        )
+        .run(&starbucks_view, &region, &Aggregate::count_all(), cfg)
         .expect("estimation succeeds");
 
     println!("COUNT(Starbucks in US)");
@@ -68,8 +64,9 @@ fn main() {
         },
     ]));
     let truth2 = fancy_open_sunday.ground_truth(&dataset, &region);
+    let cfg = SessionConfig::new(2_500, rng.next_u64()).with_wave_size(1);
     let estimate2 = estimator
-        .estimate(&google, &region, &fancy_open_sunday, 2_500, &mut rng)
+        .run(&google, &region, &fancy_open_sunday, cfg)
         .expect("estimation succeeds");
     println!("\nCOUNT(restaurants rated ≥ 4.0 and open on Sundays)");
     println!("  estimate     : {:.0}", estimate2.value);

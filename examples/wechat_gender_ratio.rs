@@ -8,11 +8,11 @@
 
 #![forbid(unsafe_code)]
 
-use lbs::core::{Aggregate, LnrLbsAgg, LnrLbsAggConfig, Selection};
+use lbs::core::{Aggregate, LnrLbsAgg, LnrLbsAggConfig, Selection, SessionConfig};
 use lbs::data::{attrs, ScenarioBuilder};
 use lbs::service::{ServiceConfig, SimulatedLbs};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(21);
@@ -32,18 +32,20 @@ fn main() {
         ..LnrLbsAggConfig::default()
     };
 
-    let mut estimator = LnrLbsAgg::new(config.clone());
+    // One worker thread; the budget is checked after every sample.
+    let estimator = LnrLbsAgg::new(config);
+    let cfg = SessionConfig::new(5_000, rng.next_u64()).with_wave_size(1);
     let count = estimator
-        .estimate(&wechat, &region, &Aggregate::count_all(), 5_000, &mut rng)
+        .run(&wechat, &region, &Aggregate::count_all(), cfg)
         .expect("estimation succeeds");
 
     let male_agg = Aggregate::count_where(Selection::TextEquals {
         attr: attrs::GENDER.into(),
         value: "male".into(),
     });
-    let mut estimator = LnrLbsAgg::new(config);
+    let cfg = SessionConfig::new(5_000, rng.next_u64()).with_wave_size(1);
     let male = estimator
-        .estimate(&wechat, &region, &male_agg, 5_000, &mut rng)
+        .run(&wechat, &region, &male_agg, cfg)
         .expect("estimation succeeds");
 
     let ratio = 100.0 * male.value / count.value.max(1.0);

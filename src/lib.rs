@@ -17,8 +17,8 @@
 //! ```
 //! use lbs::data::{generators::ScenarioBuilder, region};
 //! use lbs::service::{LbsBackend, ServiceConfig, SimulatedLbs};
-//! use lbs::core::{Aggregate, LrLbsAgg, LrLbsAggConfig};
-//! use rand::SeedableRng;
+//! use lbs::core::{Aggregate, LrLbsAgg, LrLbsAggConfig, SessionConfig};
+//! use rand::{RngCore, SeedableRng};
 //!
 //! // 1. Generate a small synthetic POI database.
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
@@ -28,10 +28,12 @@
 //! // 2. Stand up a Google-Places-like LR-LBS interface over it.
 //! let service = SimulatedLbs::new(dataset.clone(), ServiceConfig::lr_lbs(10));
 //!
-//! // 3. Estimate COUNT(*) with a small query budget.
+//! // 3. Estimate COUNT(*) on one thread with a small query budget, checked
+//! //    after every sample.
 //! let mut estimator = LrLbsAgg::new(LrLbsAggConfig::default());
+//! let cfg = SessionConfig::new(300, rng.next_u64()).with_wave_size(1);
 //! let estimate = estimator
-//!     .estimate(&service, &bbox, &Aggregate::count_all(), 300, &mut rng)
+//!     .run(&service, &bbox, &Aggregate::count_all(), cfg)
 //!     .unwrap();
 //!
 //! let truth = dataset.len() as f64;
@@ -41,8 +43,8 @@
 //!
 //! ## Parallel estimation
 //!
-//! Every estimator also offers `estimate_parallel`, which fans samples
-//! across worker threads through [`core::driver::SampleDriver`] with
+//! `SessionConfig::with_threads` fans an estimator's samples across worker
+//! threads through the parallel sample driver ([`core::driver`]) with
 //! bit-identical results at any thread count — see `ARCHITECTURE.md` for
 //! the design and `repro --threads N` for the experiment harness hook.
 

@@ -17,8 +17,7 @@
 //!   cache enabled versus disabled, serial and parallel — the acceptance
 //!   gate of the engine: speed must not move a single bit of any estimate.
 
-use lbs::core::driver::SampleDriver;
-use lbs::core::{Aggregate, HSelection, LrLbsAgg, LrLbsAggConfig};
+use lbs::core::{Aggregate, HSelection, LrLbsAgg, LrLbsAggConfig, SessionConfig};
 use lbs::data::ScenarioBuilder;
 use lbs::geom::{
     level_region, level_region_pruned, level_region_pruned_with, top_k_cell, top_k_cell_pruned,
@@ -282,15 +281,9 @@ fn run_lr(prune: bool, cache: bool, threads: usize) -> lbs::core::Estimate {
         cache_cells: cache,
         ..LrLbsAggConfig::default()
     });
+    let cfg = SessionConfig::new(900, 2015).with_threads(threads);
     estimator
-        .estimate_parallel(
-            &service,
-            &region,
-            &Aggregate::count_all(),
-            900,
-            2015,
-            &SampleDriver::new(threads),
-        )
+        .run(&service, &region, &Aggregate::count_all(), cfg)
         .expect("estimation must produce samples")
 }
 

@@ -2,12 +2,14 @@
 //! estimators, exercised through the public facade crate exactly the way the
 //! examples use it.
 
-use lbs::core::{Aggregate, LnrLbsAgg, LnrLbsAggConfig, LrLbsAgg, LrLbsAggConfig, Selection};
+use lbs::core::{
+    Aggregate, LnrLbsAgg, LnrLbsAggConfig, LrLbsAgg, LrLbsAggConfig, Selection, SessionConfig,
+};
 use lbs::data::{attrs, DensityGrid, ScenarioBuilder};
 use lbs::geom::Rect;
 use lbs::service::{LbsBackend, PassThroughFilter, ServiceConfig, SimulatedLbs};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 fn small_world(seed: u64, n: usize) -> (lbs::data::Dataset, Rect) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -26,7 +28,12 @@ fn lr_pipeline_estimates_count_within_tolerance() {
     let mut estimator = LrLbsAgg::new(LrLbsAggConfig::default());
     let mut rng = StdRng::seed_from_u64(2);
     let estimate = estimator
-        .estimate(&service, &region, &Aggregate::count_all(), 3_000, &mut rng)
+        .run(
+            &service,
+            &region,
+            &Aggregate::count_all(),
+            SessionConfig::new(3_000, rng.next_u64()).with_wave_size(1),
+        )
         .unwrap();
     assert!(
         estimate.relative_error(truth) < 0.35,
@@ -42,13 +49,18 @@ fn lnr_pipeline_estimates_count_without_locations() {
     let (dataset, region) = small_world(3, 120);
     let truth = dataset.len() as f64;
     let service = SimulatedLbs::new(dataset, ServiceConfig::lnr_lbs(10));
-    let mut estimator = LnrLbsAgg::new(LnrLbsAggConfig {
+    let estimator = LnrLbsAgg::new(LnrLbsAggConfig {
         delta: 0.3,
         ..LnrLbsAggConfig::default()
     });
     let mut rng = StdRng::seed_from_u64(4);
     let estimate = estimator
-        .estimate(&service, &region, &Aggregate::count_all(), 8_000, &mut rng)
+        .run(
+            &service,
+            &region,
+            &Aggregate::count_all(),
+            SessionConfig::new(8_000, rng.next_u64()).with_wave_size(1),
+        )
         .unwrap();
     assert!(
         estimate.relative_error(truth) < 0.5,
@@ -67,7 +79,12 @@ fn pass_through_filter_estimates_a_brand_count() {
     let mut estimator = LrLbsAgg::new(LrLbsAggConfig::default());
     let mut rng = StdRng::seed_from_u64(6);
     let estimate = estimator
-        .estimate(&filtered, &region, &Aggregate::count_all(), 1_500, &mut rng)
+        .run(
+            &filtered,
+            &region,
+            &Aggregate::count_all(),
+            SessionConfig::new(1_500, rng.next_u64()).with_wave_size(1),
+        )
         .unwrap();
     // Few matching tuples → coarse estimate, but it must be the right order
     // of magnitude and the budget must have been charged to the shared
@@ -92,7 +109,12 @@ fn post_processed_selection_and_avg_ratio() {
     let mut estimator = LrLbsAgg::new(LrLbsAggConfig::default());
     let mut rng = StdRng::seed_from_u64(8);
     let estimate = estimator
-        .estimate(&service, &region, &agg, 2_000, &mut rng)
+        .run(
+            &service,
+            &region,
+            &agg,
+            SessionConfig::new(2_000, rng.next_u64()).with_wave_size(1),
+        )
         .unwrap();
     assert!(
         estimate.relative_error(truth) < 0.2,
@@ -114,7 +136,12 @@ fn weighted_sampling_workflow_runs_end_to_end() {
         ..LrLbsAggConfig::default()
     });
     let estimate = estimator
-        .estimate(&service, &region, &Aggregate::count_all(), 3_000, &mut rng)
+        .run(
+            &service,
+            &region,
+            &Aggregate::count_all(),
+            SessionConfig::new(3_000, rng.next_u64()).with_wave_size(1),
+        )
         .unwrap();
     assert!(
         estimate.relative_error(truth) < 0.35,
@@ -134,7 +161,12 @@ fn max_radius_and_query_limit_restrictions_are_survivable() {
     let mut estimator = LrLbsAgg::new(LrLbsAggConfig::default());
     let mut rng = StdRng::seed_from_u64(12);
     let estimate = estimator
-        .estimate(&service, &region, &Aggregate::count_all(), 5_000, &mut rng)
+        .run(
+            &service,
+            &region,
+            &Aggregate::count_all(),
+            SessionConfig::new(5_000, rng.next_u64()).with_wave_size(1),
+        )
         .unwrap();
     // The hard service limit kicks in before our own budget.
     assert!(service.queries_issued() <= 1_200);

@@ -15,7 +15,7 @@
 
 use lbs::data::DensityGrid;
 use lbs::geom::{top_k_cell, ConvexPolygon, Point, Rect};
-use lbs::index::{BruteForceIndex, GridIndex, KdTree, SpatialIndex};
+use lbs::index::{BruteForceIndex, GridIndex, SpatialIndex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -104,17 +104,11 @@ fn all_index_backends_agree() {
         let k = rng.gen_range(1..8usize);
         let oracle = BruteForceIndex::build(&pts);
         let grid = GridIndex::build(&pts);
-        let tree = KdTree::build(&pts);
         let want: Vec<usize> = oracle.k_nearest(&q, k).iter().map(|n| n.id).collect();
         let got_grid: Vec<usize> = grid.k_nearest(&q, k).iter().map(|n| n.id).collect();
-        let got_tree: Vec<usize> = tree.k_nearest(&q, k).iter().map(|n| n.id).collect();
         assert_eq!(
             want, got_grid,
             "case {case}: grid disagrees with brute force"
-        );
-        assert_eq!(
-            want, got_tree,
-            "case {case}: kd-tree disagrees with brute force"
         );
     }
 }

@@ -2,10 +2,9 @@
 //! across thread counts for all three estimators, sane behaviour under hard
 //! service limits, and (on multi-core machines) actual wall-clock speedup.
 
-use lbs::core::driver::SampleDriver;
 use lbs::core::{
     Aggregate, Estimate, LnrLbsAgg, LnrLbsAggConfig, LrLbsAgg, LrLbsAggConfig, NnoBaseline,
-    NnoConfig,
+    NnoConfig, SessionConfig,
 };
 use lbs::data::{generators::ScenarioBuilder, Dataset};
 use lbs::geom::Rect;
@@ -35,13 +34,11 @@ fn lr_estimates_are_bit_identical_from_1_to_8_threads() {
     let service = SimulatedLbs::new(d, ServiceConfig::lr_lbs(10));
     let run = |threads: usize| {
         let mut est = LrLbsAgg::new(LrLbsAggConfig::default());
-        est.estimate_parallel(
+        est.run(
             &service,
             &region(),
             &Aggregate::count_all(),
-            1_500,
-            2015,
-            &SampleDriver::new(threads),
+            SessionConfig::new(1_500, 2015).with_threads(threads),
         )
         .unwrap()
     };
@@ -66,17 +63,15 @@ fn lnr_estimates_are_bit_identical_from_1_to_8_threads() {
     let truth = d.len() as f64;
     let service = SimulatedLbs::new(d, ServiceConfig::lnr_lbs(10));
     let run = |threads: usize| {
-        let mut est = LnrLbsAgg::new(LnrLbsAggConfig {
+        let est = LnrLbsAgg::new(LnrLbsAggConfig {
             delta: 0.2,
             ..LnrLbsAggConfig::default()
         });
-        est.estimate_parallel(
+        est.run(
             &service,
             &region(),
             &Aggregate::count_all(),
-            3_000,
-            7,
-            &SampleDriver::new(threads),
+            SessionConfig::new(3_000, 7).with_threads(threads),
         )
         .unwrap()
     };
@@ -91,14 +86,12 @@ fn nno_estimates_are_bit_identical_from_1_to_8_threads() {
     let d = dataset(100, 25);
     let service = SimulatedLbs::new(d, ServiceConfig::lr_lbs(10));
     let run = |threads: usize| {
-        let mut est = NnoBaseline::new(NnoConfig::default());
-        est.estimate_parallel(
+        let est = NnoBaseline::new(NnoConfig);
+        est.run(
             &service,
             &region(),
             &Aggregate::count_all(),
-            1_200,
-            11,
-            &SampleDriver::new(threads),
+            SessionConfig::new(1_200, 11).with_threads(threads),
         )
         .unwrap()
     };
@@ -109,34 +102,20 @@ fn nno_estimates_are_bit_identical_from_1_to_8_threads() {
 
 #[test]
 fn repeated_parallel_runs_reuse_history_and_stay_deterministic() {
-    // Two estimate_parallel calls on the same estimator: the second starts
+    // Two `run` calls on the same estimator: the second starts
     // from the history the first absorbed. The pair must replay identically
     // at any thread count.
     let d = dataset(120, 27);
     let service = SimulatedLbs::new(d, ServiceConfig::lr_lbs(10));
     let run_pair = |threads: usize| {
         let mut est = LrLbsAgg::new(LrLbsAggConfig::default());
-        let driver = SampleDriver::new(threads);
+        let cfg = |seed| SessionConfig::new(600, seed).with_threads(threads);
         let first = est
-            .estimate_parallel(
-                &service,
-                &region(),
-                &Aggregate::count_all(),
-                600,
-                1,
-                &driver,
-            )
+            .run(&service, &region(), &Aggregate::count_all(), cfg(1))
             .unwrap();
         let learned = est.history().len();
         let second = est
-            .estimate_parallel(
-                &service,
-                &region(),
-                &Aggregate::count_all(),
-                600,
-                2,
-                &driver,
-            )
+            .run(&service, &region(), &Aggregate::count_all(), cfg(2))
             .unwrap();
         (fingerprint(&first), learned, fingerprint(&second))
     };
@@ -152,13 +131,11 @@ fn hard_service_limit_surfaces_as_no_samples_or_truncated_run() {
     let d = dataset(50, 29);
     let service = SimulatedLbs::new(d, ServiceConfig::lr_lbs(5).with_query_limit(1));
     let mut est = LrLbsAgg::new(LrLbsAggConfig::default());
-    let res = est.estimate_parallel(
+    let res = est.run(
         &service,
         &region(),
         &Aggregate::count_all(),
-        500,
-        3,
-        &SampleDriver::new(4),
+        SessionConfig::new(500, 3).with_threads(4),
     );
     assert!(matches!(res, Err(lbs::core::EstimateError::NoSamples)));
 
@@ -168,13 +145,11 @@ fn hard_service_limit_surfaces_as_no_samples_or_truncated_run() {
     let service = SimulatedLbs::new(d, ServiceConfig::lr_lbs(5).with_query_limit(400));
     let mut est = LrLbsAgg::new(LrLbsAggConfig::default());
     let out = est
-        .estimate_parallel(
+        .run(
             &service,
             &region(),
             &Aggregate::count_all(),
-            10_000,
-            3,
-            &SampleDriver::new(4),
+            SessionConfig::new(10_000, 3).with_threads(4),
         )
         .unwrap();
     assert!(out.samples > 0);
@@ -201,13 +176,11 @@ fn four_threads_beat_one_on_multicore_machines() {
         // lbs-lint: allow(ambient-time, reason = "speedup probe timing; assertions compare estimates, not times")
         let started = std::time::Instant::now();
         let out = est
-            .estimate_parallel(
+            .run(
                 &service,
                 &region(),
                 &Aggregate::count_schools(),
-                4_000,
-                2015,
-                &SampleDriver::new(threads),
+                SessionConfig::new(4_000, 2015).with_threads(threads),
             )
             .unwrap();
         (started.elapsed().as_secs_f64(), out)

@@ -10,8 +10,7 @@
 use std::path::Path;
 use std::time::Duration;
 
-use lbs::core::driver::SampleDriver;
-use lbs::core::{Aggregate, Estimate, LrLbsAgg, LrLbsAggConfig};
+use lbs::core::{Aggregate, Estimate, LrLbsAgg, LrLbsAggConfig, SessionConfig};
 use lbs::data::generators::ScenarioBuilder;
 use lbs::service::{LatencyBackend, LbsBackend, RateLimitedBackend, ServiceConfig, SimulatedLbs};
 use lbs_bench::{
@@ -117,13 +116,12 @@ fn estimates_are_bit_identical_through_answer_preserving_decorators() {
     let dataset = ScenarioBuilder::usa_pois(250).build(&mut rng);
     let region = dataset.bbox();
     let service = SimulatedLbs::new(dataset, ServiceConfig::lr_lbs(10));
-    let driver = SampleDriver::serial();
     let agg = Aggregate::count_schools();
 
     let run = |backend: &dyn LbsBackend| -> Estimate {
         let mut estimator = LrLbsAgg::new(LrLbsAggConfig::default());
         estimator
-            .estimate_parallel(backend, &region, &agg, 600, 2015, &driver)
+            .run(backend, &region, &agg, SessionConfig::new(600, 2015))
             .expect("estimation succeeds")
     };
 

@@ -1,15 +1,15 @@
 //! Acceptance tests of the anytime-session layer: checkpoint/resume
 //! determinism (bitwise, including the service ledger), anytime snapshots,
-//! early stopping, and answer-preservation of the pluggable index backends.
+//! early stopping, and the one-sample-wave runs of the estimators' `run`.
 
 use lbs::core::{
     Aggregate, Estimate, EstimationSession, LnrLbsAgg, LnrLbsAggConfig, LnrSession, LrLbsAgg,
-    LrLbsAggConfig, LrSession, NnoBaseline, NnoConfig, SampleDriver, SessionCheckpoint,
-    SessionConfig, StopReason,
+    LrLbsAggConfig, LrSession, NnoBaseline, NnoConfig, SessionCheckpoint, SessionConfig,
+    StopReason,
 };
 use lbs::data::{generators::ScenarioBuilder, Dataset};
 use lbs::geom::Rect;
-use lbs::service::{IndexKind, LbsBackend, ServiceConfig, SimulatedLbs};
+use lbs::service::{LbsBackend, ServiceConfig, SimulatedLbs};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -396,15 +396,15 @@ fn anytime_snapshots_converge_and_stop_rules_fire() {
     assert_eq!(by_waves.value.to_bits(), snap.value.to_bits());
 }
 
-/// The session the serial `estimate(…, &mut rng)` facades run: one thread,
-/// one-sample waves, seeded by the caller's next `u64`.
+/// A serial run's session configuration: one thread, one-sample waves,
+/// seeded by the caller's next `u64`.
 fn serial_config(budget: u64, rng: &mut StdRng) -> SessionConfig {
     SessionConfig::new(budget, rng.next_u64()).with_wave_size(1)
 }
 
 #[test]
 fn serial_estimate_equals_a_one_thread_one_sample_wave_session() {
-    // Two facade calls on one estimator against two hand-built sessions fed
+    // Two `run` calls on one estimator against two hand-built sessions fed
     // from a clone of the same RNG, the second carrying the first's history:
     // bit for bit, service ledger included.
     let d = dataset(90, 47);
@@ -412,10 +412,15 @@ fn serial_estimate_equals_a_one_thread_one_sample_wave_session() {
     let mut estimator = LrLbsAgg::new(LrLbsAggConfig::default());
     let mut rng = StdRng::seed_from_u64(13);
     let mut manual_rng = rng.clone();
-    let facade: Vec<Estimate> = (0..2)
+    let ran: Vec<Estimate> = (0..2)
         .map(|_| {
             estimator
-                .estimate(&service, &region(), &Aggregate::count_all(), 300, &mut rng)
+                .run(
+                    &service,
+                    &region(),
+                    &Aggregate::count_all(),
+                    serial_config(300, &mut rng),
+                )
                 .unwrap()
         })
         .collect();
@@ -438,7 +443,7 @@ fn serial_estimate_equals_a_one_thread_one_sample_wave_session() {
         manual.push(session.finalize().unwrap());
         history = session.into_history();
     }
-    for (call, (a, b)) in facade.iter().zip(&manual).enumerate() {
+    for (call, (a, b)) in ran.iter().zip(&manual).enumerate() {
         assert_eq!(fingerprint(a), fingerprint(b), "call {call}");
         assert_eq!(a.trace, b.trace, "call {call}");
         assert_eq!(a.engine, b.engine, "call {call}");
@@ -463,12 +468,12 @@ fn serial_estimate_equals_a_one_thread_one_sample_wave_session() {
     while !cold.is_finished() {
         cold.step();
     }
-    assert_ne!(cold.finalize().unwrap().engine, facade[1].engine);
+    assert_ne!(cold.finalize().unwrap().engine, ran[1].engine);
 }
 
 #[test]
 fn serial_estimate_overshoots_its_budget_by_less_than_one_sample() {
-    // The serial facades check the budget after every sample, so only the
+    // One-sample waves check the budget after every sample, so only the
     // sample in flight can overshoot it: `budget ≤ query_cost` and
     // `query_cost − budget` stays below the costliest sample of the run.
     let d = dataset(120, 53);
@@ -485,21 +490,21 @@ fn serial_estimate_overshoots_its_budget_by_less_than_one_sample() {
             "LR",
             1_500,
             LrLbsAgg::new(LrLbsAggConfig::default())
-                .estimate(&lr, &region(), &agg, 1_500, &mut rng)
+                .run(&lr, &region(), &agg, serial_config(1_500, &mut rng))
                 .unwrap(),
         ),
         (
             "LNR",
             2_000,
             LnrLbsAgg::new(lnr_config)
-                .estimate(&lnr, &region(), &agg, 2_000, &mut rng)
+                .run(&lnr, &region(), &agg, serial_config(2_000, &mut rng))
                 .unwrap(),
         ),
         (
             "NNO",
             1_500,
-            NnoBaseline::new(NnoConfig::default())
-                .estimate(&lr, &region(), &agg, 1_500, &mut rng)
+            NnoBaseline::new(NnoConfig)
+                .run(&lr, &region(), &agg, serial_config(1_500, &mut rng))
                 .unwrap(),
         ),
     ];
@@ -522,37 +527,5 @@ fn serial_estimate_overshoots_its_budget_by_less_than_one_sample() {
             "{name}: spent {} on a budget of {budget}; the costliest sample took {largest}",
             out.query_cost
         );
-    }
-}
-
-#[test]
-fn index_backends_are_answer_preserving_end_to_end() {
-    // The `index = grid|kdtree|brute` knob must never change an estimate:
-    // all backends are exact with the same canonical order, so the whole
-    // estimation pipeline is bit-identical across them.
-    let d = dataset(140, 51);
-    let run = |kind: IndexKind| {
-        let service = SimulatedLbs::new(d.clone(), ServiceConfig::lr_lbs(10).with_index(kind));
-        let mut estimator = LrLbsAgg::new(LrLbsAggConfig::default());
-        estimator
-            .estimate_parallel(
-                &service,
-                &region(),
-                &Aggregate::count_all(),
-                600,
-                2015,
-                &SampleDriver::serial(),
-            )
-            .unwrap()
-    };
-    let grid = run(IndexKind::Grid);
-    for kind in [IndexKind::KdTree, IndexKind::Brute] {
-        let other = run(kind);
-        assert_eq!(
-            fingerprint(&grid),
-            fingerprint(&other),
-            "index backend {kind:?} changed the estimate"
-        );
-        assert_eq!(grid.trace, other.trace, "{kind:?}");
     }
 }
