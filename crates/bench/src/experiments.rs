@@ -44,15 +44,6 @@ pub fn all_experiment_ids() -> Vec<&'static str> {
     ]
 }
 
-/// Runs one experiment by id on a single worker thread.
-///
-/// # Panics
-/// Panics when the id is unknown; use [`all_experiment_ids`] to enumerate
-/// valid ones.
-pub fn run_experiment(id: &str, scale: Scale, seed: u64) -> ExperimentResult {
-    run_experiment_threaded(id, scale, seed, 1)
-}
-
 /// Runs one experiment by id, fanning estimator samples across `threads`
 /// worker threads (`repro --threads N`).
 ///
@@ -970,7 +961,7 @@ mod tests {
     #[test]
     fn every_experiment_runs_at_tiny_scale() {
         for id in all_experiment_ids() {
-            let result = run_experiment(id, Scale::Tiny, 42);
+            let result = run_experiment_threaded(id, Scale::Tiny, 42, 1);
             assert_eq!(result.id, id);
             assert!(!result.rows.is_empty(), "{id} produced no rows");
             assert!(!result.to_table().is_empty());
@@ -981,7 +972,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown experiment id")]
     fn unknown_experiment_panics() {
-        let _ = run_experiment("fig99", Scale::Tiny, 1);
+        let _ = run_experiment_threaded("fig99", Scale::Tiny, 1, 1);
     }
 
     #[test]

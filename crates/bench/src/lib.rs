@@ -16,8 +16,9 @@
 //! size or precision) is the reproduction target. `EXPERIMENTS.md` at the
 //! repository root maps every paper artefact to its function in
 //! [`experiments`], explains how to read the transposed cost/accuracy
-//! tables, and documents the `BENCH_repro.json` summary (see [`report`])
-//! that every `repro` run emits.
+//! tables, and documents `BENCH_repro.json` (see [`report`]): the
+//! per-experiment accuracy and cost record that every `repro` run emits and
+//! `repro --gate` diffs against the committed reference.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,11 +30,8 @@ pub mod scale;
 pub mod scenario;
 pub mod toml_lite;
 
-pub use experiments::{all_experiment_ids, run_experiment, run_experiment_threaded};
-pub use report::{
-    BenchRecord, BenchReport, CacheBenchReport, HotPathBenchReport, LoadtestBenchReport,
-    SessionBenchReport, SpeedupReport, StratifiedBenchReport,
-};
+pub use experiments::{all_experiment_ids, run_experiment_threaded};
+pub use report::{BenchRecord, BenchReport};
 pub use result::{ExperimentResult, Row};
 pub use scale::Scale;
 pub use scenario::{

@@ -183,26 +183,6 @@ impl Rect {
         ]
     }
 
-    /// Squared distance from `p` to the closest point of the rectangle
-    /// (zero when `p` is inside).
-    pub fn distance_sq_to_point(&self, p: &Point) -> f64 {
-        let dx = if p.x < self.min_x {
-            self.min_x - p.x
-        } else if p.x > self.max_x {
-            p.x - self.max_x
-        } else {
-            0.0
-        };
-        let dy = if p.y < self.min_y {
-            self.min_y - p.y
-        } else if p.y > self.max_y {
-            p.y - self.max_y
-        } else {
-            0.0
-        };
-        dx * dx + dy * dy
-    }
-
     /// Clamps a point into the rectangle.
     pub fn clamp(&self, p: &Point) -> Point {
         Point::new(
@@ -304,14 +284,6 @@ mod tests {
             area2 += a.cross(&b);
         }
         assert!(area2 > 0.0);
-    }
-
-    #[test]
-    fn distance_to_point() {
-        let r = unit();
-        assert_eq!(r.distance_sq_to_point(&Point::new(0.5, 0.5)), 0.0);
-        assert_eq!(r.distance_sq_to_point(&Point::new(2.0, 0.5)), 1.0);
-        assert_eq!(r.distance_sq_to_point(&Point::new(2.0, 2.0)), 2.0);
     }
 
     #[test]

@@ -266,7 +266,7 @@ mod tests {
     }
 
     #[test]
-    fn clustered_points_exercise_grid_rings_and_kdtree_depth() {
+    fn clustered_points_exercise_grid_rings() {
         // Points concentrated in two tight clusters far apart, plus a query
         // in the empty middle — this stresses ring expansion and pruning.
         let mut points = Vec::new();

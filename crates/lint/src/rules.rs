@@ -108,7 +108,7 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "ambient-time",
         summary: "Instant::now/SystemTime::now outside allowlisted timing modules",
-        hint: "route wall-clock reads through the probe/report timing modules, or \
+        hint: "route wall-clock reads through the loadtest timing module, or \
                annotate result-neutral uses with // lbs-lint: allow(ambient-time, \
                reason = \"...\") stating why no estimate depends on the value",
         explain: "Ambient wall-clock reads (std::time::Instant::now, SystemTime::now) \
@@ -116,15 +116,11 @@ pub const RULES: &[Rule] = &[
                   (wave scheduling, early-stop, cache eviction) they silently break \
                   checkpoint/resume bit-identity and the served==batch contract: a run \
                   resumed on a slower machine would take a different branch. Timing \
-                  belongs in the dedicated measurement modules (the bench report's \
-                  wall-time probe, the server throughput probe), which are allowlisted; \
+                  belongs in the dedicated measurement module (the server's loadtest \
+                  probe, which measures request latencies), which is allowlisted; \
                   anywhere else the use must be annotated with a reason explaining why \
                   the value never feeds back into an estimate.",
-        allowed_path_suffixes: &[
-            "crates/bench/src/report.rs",
-            "crates/server/src/probe.rs",
-            "crates/server/src/loadtest.rs",
-        ],
+        allowed_path_suffixes: &["crates/server/src/loadtest.rs"],
         only_path_suffixes: &[],
         check: check_ambient_time,
     },
@@ -247,10 +243,9 @@ pub const RULES: &[Rule] = &[
                   either go through the arena or carry a reasoned allow (result \
                   ownership, cold setup path). Code after the #[cfg(test)] boundary \
                   is exempt, as the test module is the tail of the file by workspace \
-                  convention. The counting-allocator smoke probe in the bench gate \
-                  (`repro --alloc-smoke`) enforces the same budget dynamically; this \
-                  rule catches offenders at review time, before they cost a bench \
-                  run.",
+                  convention. The counting-allocator test tests/cell_allocations.rs \
+                  enforces the same budget dynamically; this rule catches offenders \
+                  at review time, before they cost a test run.",
         allowed_path_suffixes: &[],
         only_path_suffixes: &[
             "crates/geom/src/cell_engine.rs",
@@ -613,7 +608,9 @@ mod tests {
     fn ambient_time_allowlists_timing_modules() {
         let toks = lex("let t = Instant::now();").tokens;
         let rule = rule_by_id("ambient-time").unwrap();
-        assert!(rule.check("crates/server/src/probe.rs", &toks).is_empty());
+        assert!(rule
+            .check("crates/server/src/loadtest.rs", &toks)
+            .is_empty());
         assert_eq!(rule.check("crates/server/src/scheduler.rs", &toks).len(), 1);
     }
 

@@ -3,20 +3,23 @@
 //!
 //! ```text
 //! repro [--experiment <id>|all] [--scale tiny|small|paper] [--seed N]
-//!       [--threads N] [--out DIR]
-//!       [--scenario FILE]... [--scenario-dir DIR] [--smoke] [--alloc-smoke]
+//!       [--threads N] [--out DIR] [--gate REFERENCE.json]
+//!       [--scenario FILE]... [--scenario-dir DIR] [--smoke]
 //! repro serve  [--addr 127.0.0.1:4157] [--threads N] [--seed N] [--smoke]
 //!              [--quota TENANT=LIMIT]...
 //! repro client --scenario FILE [--addr 127.0.0.1:4157] [--tenant NAME]
 //!              [--poll-ms N] [--timeout-s N] [--check-batch] [--shutdown]
+//! repro loadtest [--clients N] [--jobs N] [--queue-depth N] [--budget N]
+//!                [--seed N] [--threads N] [--no-check-batch] [--out DIR]
 //! ```
 //!
 //! Results are printed as text tables and written as CSV files under the
 //! output directory (default `bench-results/`). Every run also writes
-//! `BENCH_repro.json` there: a machine-readable summary with per-experiment
-//! wall time, the deepest query cost exercised, the mean relative error and
-//! a session-throughput probe of the serving layer (see `EXPERIMENTS.md`
-//! for the field-by-field description).
+//! `BENCH_repro.json` there: the accuracy record, with per-experiment wall
+//! time, the deepest query cost exercised, the mean relative error and the
+//! cell-engine counters (see `EXPERIMENTS.md` for the field-by-field
+//! description). `--gate REFERENCE.json` diffs it against a committed
+//! reference and exits non-zero on an accuracy or cost regression.
 //!
 //! `--scenario FILE` (repeatable) and `--scenario-dir DIR` switch the run
 //! from the built-in experiment list to declarative scenario specs
@@ -25,25 +28,17 @@
 //!
 //! `--threads N` fans the estimator samples of every experiment across `N`
 //! worker threads (`0` = all cores). Results are **bit-identical for every
-//! thread count** — the flag only changes wall-clock time. When more than
-//! one thread is requested, the run additionally times a serial-versus-
-//! parallel COUNT probe and records the measured speedup (plus a determinism
-//! check) in `BENCH_repro.json`.
+//! thread count** — the flag only changes wall-clock time.
 //!
 //! `repro serve` starts the multi-tenant HTTP front-end (`lbs-server`);
 //! `repro client` submits a scenario to a running server, streams its
 //! anytime estimates while polling, fetches the final result, and — with
 //! `--check-batch` — re-runs the same scenario locally through the batch
-//! path and asserts the served estimate matches bit for bit.
+//! path and asserts the served estimate matches bit for bit. `repro
+//! loadtest` hammers an in-process server from concurrent keep-alive
+//! clients and writes the outcome to `BENCH_loadtest.json`.
 
 #![forbid(unsafe_code)]
-
-/// Counting allocator for the `--alloc-smoke` gate: every run pays one
-/// relaxed atomic increment per heap allocation (noise next to the
-/// allocation itself) and in exchange the hot-path probe can prove the
-/// scratch arena keeps steady-state cell construction allocation-free.
-#[global_allocator]
-static ALLOC: counting_alloc::CountingAlloc = counting_alloc::CountingAlloc::new();
 
 use std::env;
 use std::fs;
@@ -51,13 +46,12 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use lbs_bench::{
-    all_experiment_ids,
-    report::{gate_against, run_hot_path_probe, run_speedup_probe, run_stratified_probe},
-    run_experiment_threaded, BenchRecord, BenchReport, Scale, Scenario, ScenarioContext,
+    all_experiment_ids, report::gate_against, run_experiment_threaded, BenchRecord, BenchReport,
+    Scale, Scenario, ScenarioContext,
 };
 use lbs_server::{
-    http_request, run_cache_probe, run_loadtest, run_session_probe, value_u64, LoadtestOptions,
-    Scheduler, SchedulerConfig, Server, ServerState,
+    http_request, run_loadtest, value_u64, LoadtestBenchReport, LoadtestOptions, Scheduler,
+    SchedulerConfig, Server, ServerState,
 };
 
 struct Options {
@@ -70,7 +64,6 @@ struct Options {
     scenarios: Vec<PathBuf>,
     scenario_dir: Option<PathBuf>,
     smoke: bool,
-    alloc_smoke: bool,
 }
 
 struct ServeOptions {
@@ -235,7 +228,6 @@ fn parse_args() -> Result<Command, String> {
     let mut scenarios: Vec<PathBuf> = Vec::new();
     let mut scenario_dir: Option<PathBuf> = None;
     let mut smoke = false;
-    let mut alloc_smoke = false;
 
     let mut args = env::args().skip(1).peekable();
     match args.peek().map(String::as_str) {
@@ -296,9 +288,6 @@ fn parse_args() -> Result<Command, String> {
             "--smoke" => {
                 smoke = true;
             }
-            "--alloc-smoke" => {
-                alloc_smoke = true;
-            }
             "--help" | "-h" => {
                 return Ok(Command::Help);
             }
@@ -318,7 +307,6 @@ fn parse_args() -> Result<Command, String> {
         scenarios,
         scenario_dir,
         smoke,
-        alloc_smoke,
     }))
 }
 
@@ -342,9 +330,6 @@ fn usage() -> String {
          --scenario-dir D  run every .toml/.json scenario in a directory (sorted)\n\
          --smoke           shrink scenarios to a fast smoke sweep (micro scale /\n\
          \x20                 capped sizes and budgets)\n\
-         --alloc-smoke     run the hot-path allocation smoke probe under the\n\
-         \x20                 counting allocator and fail if steady-state\n\
-         \x20                 allocations per cell exceed the committed budget\n\
          serve             start the multi-tenant aggregate-serving HTTP front-end\n\
          client            submit a scenario to a running server, stream its anytime\n\
          \x20                 estimates, fetch the result; --check-batch verifies the\n\
@@ -495,133 +480,6 @@ fn main() -> ExitCode {
         }
     }
 
-    if !scenario_mode {
-        // Session-scheduler probe: a fixed bundle of small jobs through the
-        // serving layer, timed in submission order and re-run shuffled for
-        // the determinism check. Cheap (tiny workloads) and recorded in
-        // every experiment-mode BENCH_repro.json.
-        println!("Timing the session-scheduler probe...");
-        let probe_threads = lbs_core::SampleDriver::new(options.threads).threads();
-        let sessions = run_session_probe(options.seed, probe_threads);
-        println!(
-            "  {} jobs in {:.2}s -> {:.1} jobs/s, mean time to first estimate {:.0} ms \
-             (deterministic: {})\n",
-            sessions.jobs,
-            sessions.wall_s,
-            sessions.jobs_per_s,
-            sessions.mean_time_to_first_estimate_ms,
-            sessions.deterministic,
-        );
-        report.sessions = Some(sessions);
-
-        // Shared answer-cache probe: the same cached scenario submitted
-        // twice under two tenants; the replay must be served from the warm
-        // cross-tenant cache while reproducing the estimate bit for bit.
-        println!("Timing the shared answer-cache probe...");
-        let cache = run_cache_probe(options.seed, probe_threads);
-        println!(
-            "  {} hits / {} misses ({:.0}% hit rate), {} invalidations, {} evictions \
-             (deterministic: {})\n",
-            cache.hits,
-            cache.misses,
-            cache.hit_rate * 100.0,
-            cache.invalidations,
-            cache.evictions,
-            cache.deterministic,
-        );
-        report.cache = Some(cache);
-
-        // Concurrent-load probe: an in-process event-loop server hammered
-        // by a few keep-alive clients, every served estimate verified
-        // bitwise against a batch re-run. Small on purpose; `repro
-        // loadtest` runs the same probe with operator-chosen knobs.
-        println!("Timing the concurrent-load probe...");
-        match run_loadtest(&LoadtestOptions {
-            clients: 4,
-            jobs_per_client: 2,
-            queue_depth: 8,
-            budget: 100,
-            seed: options.seed,
-            threads: probe_threads,
-            check_batch: true,
-        }) {
-            Ok(loadtest) => {
-                print_loadtest(&loadtest);
-                report.loadtest = Some(loadtest);
-            }
-            Err(e) => {
-                eprintln!("concurrent-load probe failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-
-        // Stratified-estimation probe: the same COUNT workload estimated
-        // flat and through the stratified Horvitz-Thompson combiner at an
-        // equal query budget; records the measured variance ratio and a
-        // thread-count determinism check.
-        println!("Timing the stratified-estimation probe...");
-        let stratified = run_stratified_probe(options.scale, options.seed, probe_threads);
-        println!(
-            "  {} ({} strata, {} allocation): std error {:.3} vs flat {:.3} -> \
-             variance ratio {:.3} at budget {} (deterministic: {})\n",
-            stratified.partition,
-            stratified.count,
-            stratified.allocation,
-            stratified.stratified_std_error,
-            stratified.unstratified_std_error,
-            stratified.variance_ratio,
-            stratified.budget,
-            stratified.deterministic,
-        );
-        report.stratified = Some(stratified);
-    }
-
-    if options.alloc_smoke {
-        // Hot-path allocation smoke: the same cell batch built with cold
-        // and warm scratch arenas under the counting global allocator; the
-        // warm (steady-state) allocations per cell are gated against the
-        // committed budget.
-        println!("Running the hot-path allocation smoke probe...");
-        let hot_path =
-            run_hot_path_probe(options.scale, options.seed, &|| ALLOC.allocation_count());
-        println!(
-            "  {}: cold {:.1} allocs/cell, warm {:.2} allocs/cell (budget {:.1}, counted: {})\n",
-            hot_path.probe,
-            hot_path.cold_allocs_per_cell,
-            hot_path.warm_allocs_per_cell,
-            hot_path.budget_allocs_per_cell,
-            hot_path.counted,
-        );
-        let violations = hot_path.violations();
-        report.hot_path = Some(hot_path);
-        if !violations.is_empty() {
-            for violation in &violations {
-                eprintln!("  - {violation}");
-            }
-            return ExitCode::FAILURE;
-        }
-    }
-
-    if options.threads != 1 {
-        println!("Timing the serial-versus-parallel COUNT probe...");
-        // Resolve `0 = all cores` the same way the experiments do, so the
-        // probe measures the thread count the run actually used.
-        let probe_threads = lbs_core::SampleDriver::new(options.threads)
-            .threads()
-            .max(2);
-        let probe = run_speedup_probe(options.scale, options.seed, probe_threads);
-        println!(
-            "  serial {:.2}s, {} threads {:.2}s -> speedup {:.2}x ({} CPU(s) available, deterministic: {})\n",
-            probe.serial_wall_s,
-            probe.threads,
-            probe.parallel_wall_s,
-            probe.speedup,
-            probe.available_parallelism,
-            probe.deterministic,
-        );
-        report.speedup = Some(probe);
-    }
-
     let json_path = options.out_dir.join("BENCH_repro.json");
     if let Err(e) = fs::write(&json_path, report.to_json()) {
         eprintln!("cannot write {}: {e}", json_path.display());
@@ -664,9 +522,8 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Prints the shared human-readable summary of a loadtest report — used by
-/// both the experiment-mode probe and the `repro loadtest` subcommand.
-fn print_loadtest(report: &lbs_bench::LoadtestBenchReport) {
+/// Prints the human-readable summary of a loadtest report.
+fn print_loadtest(report: &LoadtestBenchReport) {
     println!(
         "  {} clients x {} jobs: {} completed, {} dropped in {:.2}s -> {:.1} jobs/s",
         report.clients,
@@ -722,10 +579,9 @@ fn run_loadtest_cmd(options: LoadtestCliOptions) -> ExitCode {
     print_loadtest(&loadtest);
     let violations = loadtest.violations();
 
-    let mut report = BenchReport::new(Scale::Small, options.probe.seed, options.probe.threads);
-    report.loadtest = Some(loadtest);
     let json_path = options.out_dir.join("BENCH_loadtest.json");
-    if let Err(e) = fs::write(&json_path, report.to_json()) {
+    let json = serde_json::to_string_pretty(&loadtest).expect("report serialisation cannot fail");
+    if let Err(e) = fs::write(&json_path, json) {
         eprintln!("cannot write {}: {e}", json_path.display());
         return ExitCode::FAILURE;
     }

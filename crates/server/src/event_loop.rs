@@ -120,8 +120,8 @@ impl Default for ServerConfig {
 
 /// Shared state of a running server.
 pub struct ServerState {
-    /// The scheduler behind the API (public so embedders and the session
-    /// probe can drive it directly).
+    /// The scheduler behind the API (public so embedders, tests and
+    /// benchmarks can drive it directly).
     pub scheduler: Mutex<Scheduler>,
     shutdown: AtomicBool,
     /// Wakes the event loop when shutdown is requested off-loop.

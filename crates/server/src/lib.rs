@@ -23,9 +23,9 @@
 //!   job from a declarative scenario spec, poll its anytime estimate
 //!   (value, running confidence interval, queries spent, stop reason),
 //!   long-poll the final result, cancel.
-//! * [`probe`] — the session-throughput probe (`jobs/s`, mean
-//!   time-to-first-estimate, shuffled-arrival determinism check) recorded in
-//!   `BENCH_repro.json` by every `repro` run.
+//! * [`loadtest`] — the concurrent-load probe behind `repro loadtest`: N
+//!   keep-alive clients against an in-process server on a loopback port,
+//!   reported as a [`LoadtestBenchReport`] in `BENCH_loadtest.json`.
 //!
 //! The `repro` binary lives in this crate (its `serve` / `client`
 //! subcommands need the server; everything experiment-shaped still comes
@@ -40,14 +40,12 @@
 pub mod event_loop;
 pub mod http;
 pub mod loadtest;
-pub mod probe;
 pub mod queue;
 pub mod scheduler;
 
 pub use event_loop::{HttpStats, Server, ServerConfig, ServerState};
 pub use http::{http_request, value_u64, HttpClient};
-pub use loadtest::{run_loadtest, LoadtestOptions};
-pub use probe::{run_cache_probe, run_session_probe};
+pub use loadtest::{run_loadtest, LoadtestBenchReport, LoadtestOptions};
 pub use queue::SubmissionQueue;
 pub use scheduler::{
     Admission, CacheCounters, JobState, JobStatus, Lease, NewJob, Scheduler, SchedulerConfig,

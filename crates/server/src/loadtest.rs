@@ -11,19 +11,19 @@
 //! concurrent load: admission order may vary run to run, but each job's
 //! estimate may not.
 //!
-//! The outcome is the `loadtest` block of `BENCH_repro.json`
-//! ([`LoadtestBenchReport`]): p50/p95/p99 submit→first-estimate latency,
-//! jobs/s, keep-alive reuse rate, and the `429` split, gate-checked by
+//! The outcome is a [`LoadtestBenchReport`], which `repro loadtest` writes
+//! to `BENCH_loadtest.json`: p50/p95/p99 submit→first-estimate latency,
+//! jobs/s, keep-alive reuse rate and the `429` split, checked by
 //! [`LoadtestBenchReport::violations`].
 //!
-//! This module measures wall-clock latencies by design; it is allowlisted
-//! for the `ambient-time` lint the way the other probes are. No served
-//! estimate depends on any clock read here.
+//! This module measures wall-clock latencies by design; it is the one
+//! module allowlisted for the `ambient-time` lint. No served estimate
+//! depends on any clock read here.
 
 use std::time::{Duration, Instant};
 
-use lbs_bench::{LoadtestBenchReport, Scale, Scenario, ScenarioContext};
-use serde::{Deserialize, Value};
+use lbs_bench::{Scale, Scenario, ScenarioContext};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::event_loop::{Server, ServerConfig, ServerState};
 use crate::http::{value_u64, HttpClient};
@@ -76,6 +76,89 @@ impl Default for LoadtestOptions {
             threads: 1,
             check_batch: true,
         }
+    }
+}
+
+/// Concurrent-load probe of the event-driven serving layer: N keep-alive
+/// clients hammer a loopback server with job submissions (retrying on
+/// `429` backpressure), and every admitted job's served result is compared
+/// bitwise against a local batch run of the same scenario.
+#[derive(Clone, Debug, Serialize)]
+pub struct LoadtestBenchReport {
+    /// Concurrent client threads.
+    pub clients: usize,
+    /// Jobs each client submits.
+    pub jobs_per_client: usize,
+    /// Jobs admitted and completed (must equal `clients × jobs_per_client`).
+    pub completed_jobs: usize,
+    /// Jobs that were never admitted or never finished (must be 0 — `429`s
+    /// are retried, so backpressure never drops work).
+    pub dropped_jobs: usize,
+    /// Wall-clock seconds of the whole run.
+    pub wall_s: f64,
+    /// Completed jobs per second.
+    pub jobs_per_s: f64,
+    /// Median submit→first-estimate latency (ms): from the first submission
+    /// attempt to the first poll whose snapshot has ≥ 1 completed sample.
+    pub p50_first_estimate_ms: f64,
+    /// 95th-percentile submit→first-estimate latency (ms).
+    pub p95_first_estimate_ms: f64,
+    /// 99th-percentile submit→first-estimate latency (ms).
+    pub p99_first_estimate_ms: f64,
+    /// HTTP requests issued across all clients.
+    pub http_requests: u64,
+    /// TCP connections the clients opened.
+    pub connections: u64,
+    /// `1 − connections / http_requests`: fraction of requests that reused
+    /// a pooled keep-alive connection.
+    pub keep_alive_reuse: f64,
+    /// `429`s from the bounded submission queue (clients retried them all).
+    pub queue_429: u64,
+    /// `429`s from tenant-quota saturation.
+    pub quota_429: u64,
+    /// The server's submission-queue bound during the run.
+    pub queue_depth: usize,
+    /// Deepest the server's submission queue got. `429`s are legitimate
+    /// only if this reached `queue_depth`.
+    pub queue_high_water: usize,
+    /// Whether the run verified served results against local batch runs.
+    pub check_batch: bool,
+    /// `true` when every served result matched its batch twin bitwise
+    /// (meaningless unless `check_batch`).
+    pub batch_identical: bool,
+}
+
+impl LoadtestBenchReport {
+    /// The conditions `repro loadtest` exits non-zero on:
+    ///
+    /// * no dropped jobs — backpressure must never lose admitted work,
+    /// * `429`s only after the queue actually filled (high-water at the
+    ///   bound), and
+    /// * when batch checking ran, bitwise equality of served vs batch.
+    pub fn violations(&self) -> Vec<String> {
+        let mut violations = Vec::new();
+        if self.dropped_jobs > 0 {
+            violations.push(format!(
+                "loadtest probe: {} jobs dropped under concurrent load — \
+                 backpressure must retry, never lose work",
+                self.dropped_jobs
+            ));
+        }
+        if self.queue_429 > 0 && self.queue_high_water < self.queue_depth {
+            violations.push(format!(
+                "loadtest probe: {} queue 429s but high-water {} never reached \
+                 the bound {} — premature backpressure",
+                self.queue_429, self.queue_high_water, self.queue_depth
+            ));
+        }
+        if self.check_batch && !self.batch_identical {
+            violations.push(
+                "loadtest probe: a served result differed bitwise from its local \
+                 batch run — determinism regression under concurrent load"
+                    .to_string(),
+            );
+        }
+        violations
     }
 }
 
@@ -231,10 +314,10 @@ fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
     sorted_ms[rank.saturating_sub(1).min(sorted_ms.len() - 1)]
 }
 
-/// Runs the concurrent-load probe and returns the `loadtest` record of
-/// `BENCH_repro.json`. Errors only on setup failure (e.g. no loopback
-/// port); client-side job failures are reported as `dropped_jobs` so the
-/// gate — not an early return — judges them.
+/// Runs the concurrent-load probe and returns its report. Errors only on
+/// setup failure (e.g. no loopback port); client-side job failures are
+/// reported as `dropped_jobs` so [`LoadtestBenchReport::violations`] — not
+/// an early return — judges them.
 pub fn run_loadtest(options: &LoadtestOptions) -> Result<LoadtestBenchReport, String> {
     let scheduler = Scheduler::new(SchedulerConfig {
         threads: options.threads,
@@ -372,6 +455,47 @@ mod tests {
         assert!(report.connections >= 2);
         assert!(report.http_requests > report.connections);
         assert!(report.violations().is_empty(), "{:?}", report.violations());
+    }
+
+    #[test]
+    fn violations_flag_dropped_premature_and_divergent_runs() {
+        let report = |dropped: usize, queue_429: u64, high_water: usize, identical: bool| {
+            LoadtestBenchReport {
+                clients: 4,
+                jobs_per_client: 3,
+                completed_jobs: 12 - dropped,
+                dropped_jobs: dropped,
+                wall_s: 1.0,
+                jobs_per_s: 12.0,
+                p50_first_estimate_ms: 5.0,
+                p95_first_estimate_ms: 9.0,
+                p99_first_estimate_ms: 9.5,
+                http_requests: 60,
+                connections: 4,
+                keep_alive_reuse: 1.0 - 4.0 / 60.0,
+                queue_429,
+                quota_429: 0,
+                queue_depth: 8,
+                queue_high_water: high_water,
+                check_batch: true,
+                batch_identical: identical,
+            }
+        };
+        assert!(report(0, 5, 8, true).violations().is_empty());
+        assert!(report(2, 0, 8, true)
+            .violations()
+            .iter()
+            .any(|v| v.contains("dropped")));
+        // 429s without the queue ever filling: the server pushed back
+        // before it had to.
+        assert!(report(0, 5, 3, true)
+            .violations()
+            .iter()
+            .any(|v| v.contains("premature backpressure")));
+        assert!(report(0, 0, 0, false)
+            .violations()
+            .iter()
+            .any(|v| v.contains("determinism regression under concurrent load")));
     }
 
     #[test]

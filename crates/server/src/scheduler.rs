@@ -307,8 +307,7 @@ impl Scheduler {
         }
     }
 
-    /// The cross-tenant shared answer cache (counters feed the bench cache
-    /// probe).
+    /// The cross-tenant shared answer cache, for reading its counters.
     pub fn shared_cache(&self) -> &Arc<AnswerCache> {
         &self.shared_cache
     }
@@ -391,18 +390,6 @@ impl Scheduler {
     /// byte-identical to the batch path at the same seed.
     pub fn submit(&mut self, scenario: &Scenario, tenant: Option<&str>) -> Result<u64, String> {
         let workload = build_workload(scenario, &self.scenario_context())?;
-        self.submit_workload(workload, tenant)
-    }
-
-    /// Submits an already-built [`Workload`]: [`Scheduler::admit`],
-    /// [`Admission::build`] and [`Scheduler::insert`] in one call (see
-    /// [`Scheduler::scenario_context`] for the build-outside-the-lock
-    /// pattern).
-    pub fn submit_workload(
-        &mut self,
-        workload: Workload,
-        tenant: Option<&str>,
-    ) -> Result<u64, String> {
         let job = self.admit(&workload, tenant)?.build(&workload)?;
         Ok(self.insert(job))
     }
@@ -976,6 +963,9 @@ mod tests {
             "replay under a second tenant must hit: {cold:?} -> {warm:?}"
         );
         assert_eq!(warm.misses, cold.misses, "replay adds no distinct keys");
+        // No mutation ran and the cache is unbounded: nothing was dropped.
+        assert_eq!(warm.invalidations, 0);
+        assert_eq!(warm.evictions, 0);
         // Metered hits: both tenants' ledgers record the same spend even
         // though bob's queries never touched the dataset.
         let stats = sched.stats();

@@ -178,8 +178,8 @@ fn max_radius_and_query_limit_restrictions_are_survivable() {
 
 #[test]
 fn experiment_harness_is_reachable_from_integration_tests() {
-    use lbs_bench::{run_experiment, Scale};
-    let result = run_experiment("fig11", Scale::Tiny, 1);
+    use lbs_bench::{run_experiment_threaded, Scale};
+    let result = run_experiment_threaded("fig11", Scale::Tiny, 1, 1);
     assert_eq!(result.id, "fig11");
     assert!(!result.rows.is_empty());
 }

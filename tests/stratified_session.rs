@@ -1,7 +1,8 @@
 //! Acceptance tests of the stratified-estimation layer: the single-stratum
 //! session collapses bitwise onto the flat path, checkpoint/resume at
-//! arbitrary wave cuts is bit-identical at every thread count, and the
-//! combined estimate does not depend on the thread count.
+//! arbitrary wave cuts is bit-identical at every thread count, the combined
+//! estimate does not depend on the thread count, and density strata under
+//! Neyman allocation beat the flat estimator's variance on a skewed table.
 
 use lbs::core::{
     Aggregate, AllocationPolicy, Estimate, EstimatorKind, LrLbsAggConfig, LrSession, SessionConfig,
@@ -207,4 +208,63 @@ fn stratified_estimate_does_not_depend_on_the_thread_count() {
     for pair in fingerprints.windows(2) {
         assert_eq!(pair[0], pair[1], "thread count changed the estimate");
     }
+}
+
+#[test]
+fn neyman_density_strata_reduce_variance_on_a_hotspot_table() {
+    // Eight density strata under Neyman allocation against the flat
+    // estimator at the same budget and seed, on a Zipf-hotspot table: the
+    // spatial skew stratification exists for.
+    let mut rng = StdRng::seed_from_u64(2015);
+    let d = ScenarioBuilder::zipf_hotspot_pois(1_500, 8, 1.1).build(&mut rng);
+    let region = d.bbox();
+    let grid = DensityGrid::from_dataset(&d, 32, 1, 0.1);
+    let strata = Stratifier::density(grid, 8).strata(&region);
+    let service = SimulatedLbs::new(d, ServiceConfig::lr_lbs(10));
+    let agg = Aggregate::count_all();
+    let cfg = SessionConfig::new(4_000, 2015);
+
+    let mut flat = LrSession::new(
+        &service,
+        &region,
+        &agg,
+        LrLbsAggConfig::default(),
+        cfg.clone(),
+    );
+    while !flat.is_finished() {
+        flat.run_wave();
+    }
+    let flat = flat.finalize().expect("flat session completes");
+    let stratified = |threads: usize| {
+        let mut session = StratifiedSession::new(
+            &service,
+            &region,
+            &agg,
+            EstimatorKind::Lr(LrLbsAggConfig::default()),
+            strata.clone(),
+            AllocationPolicy::Neyman,
+            cfg.clone().with_threads(threads),
+        );
+        while !session.is_finished() {
+            session.run_wave();
+        }
+        session.finalize().expect("stratified session completes")
+    };
+    let serial = stratified(1);
+
+    let ratio = (serial.std_error / flat.std_error).powi(2);
+    println!("variance ratio, stratified over flat: {ratio:.3}");
+    assert!(
+        ratio.is_finite() && ratio > 0.0,
+        "variance ratio {ratio} is not a positive finite number"
+    );
+    assert!(
+        ratio < 1.0,
+        "stratification increased the variance at equal budget: ratio {ratio:.3}"
+    );
+    assert_eq!(
+        fingerprint(&serial),
+        fingerprint(&stratified(2)),
+        "1 and 2 threads produced different stratified estimates"
+    );
 }
